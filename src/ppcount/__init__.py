@@ -7,14 +7,13 @@ __version__ = "0.1.0"
 from .analytic import (ErrorEnvelope, ExponentTable, delta_envelope,
                        exponents, interval_main_term, li, li_interval,
                        zeta_int)
-from .arith import (KfreeDecomposition, LambdaSegment, PrimeTable,
-                    is_prime, is_prime_power, kfree_decompose,
-                    lambda_segment, prime_count_interval, psi, sieve_primes)
+from .arith import (LambdaSegment, PrimeTable, is_prime, lambda_segment,
+                    prime_count_interval, psi, sieve_primes)
 from .counting import (CountResult, CstarResult, PrimePowerCorrection,
                        Theorem3Report, annotate_count, count_exact,
                        count_interval, count_oracle, cstar,
-                       interval_deviation, prime_power_correction,
-                       theorem3_experiment)
+                       interval_deviation, interval_scaling,
+                       prime_power_correction, theorem3_experiment)
 from .errors import (CapacityError, CoverageError, DomainError,
                      IntegrityError, PPCountError, TableParseError)
 from .explicit import (TrapezoidWeight, ZeroSumBreakdown, psi1_exact,

@@ -40,16 +40,10 @@ class ErrorEnvelope:
 
 @dataclass(frozen=True)
 class ExponentTable:
-    """Error exponents for the RH-conditional bounds: A(2)=2, A(k)=1 for k>=3.
-
-    g_of_h is the matching short-interval factor: log h when k=2, else 1.
-    """
+    """Error exponents for the RH-conditional bounds: A(2)=2, A(k)=1 for k>=3."""
 
     k: int
     A: int
-
-    def g_of_h(self, h: float) -> float:
-        return math.log(h) if self.k == 2 else 1.0
 
 
 def exponents(k: int) -> ExponentTable:
@@ -62,8 +56,10 @@ def li(x: float) -> float:
     """Principal-value logarithmic integral, via the Ei series at log x.
 
     Ei(y) = gamma + log y + sum_{n>=1} y^n / (n * n!); all terms are
-    positive for y > 0, so the series is numerically benign. Absolute
-    error is below 1e-10 for x up to 1e15.
+    positive for y > 0, so the series is numerically benign. Summed in
+    doubles, its relative error is below 1e-14 for 10^3 <= x <= 10^15
+    (at most 4.2e-15 against 40-digit mpmath), so the absolute error
+    grows with x: about 5e-6 at 10^12 and 0.04 at 10^15.
     """
     if x <= 1.0:
         raise DomainError(f"li requires x > 1, got {x}")
@@ -80,7 +76,12 @@ def li(x: float) -> float:
 
 
 def li_interval(x1: float, x2: float) -> float:
-    """Integral of dt/log t over [x1, x2]; 1 < x1 <= x2."""
+    """Integral of dt/log t over [x1, x2]; 1 < x1 <= x2.
+
+    A difference of two li values, so a window short next to x1 loses
+    the digits li's absolute error covers: at (10^12, 10^12 + 1) it
+    gives 0.036217 where the integral is 0.036191.
+    """
     if not 1.0 < x1 <= x2:
         raise DomainError(f"li_interval requires 1 < x1 <= x2, got {x1}, {x2}")
     return li(x2) - li(x1)

@@ -1,17 +1,17 @@
-"""Exact integer-side arithmetic: sieves, von Mangoldt values, psi,
-interval prime counts, and k-free decompositions.
+"""Exact integer-side arithmetic: sieves, von Mangoldt values, psi and
+interval prime counts.
 
 All interval operations are segmented, so queries near 10^12 only ever
-need a base table of primes up to 10^6. Segments are processed in a
-fixed order (optionally by a thread pool) and merged deterministically.
+need a base table of primes up to 10^6. Segments are processed and
+merged in a fixed order.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +25,10 @@ DEFAULT_SIEVE_BUDGET = 10 ** 8
 # than the base prime list.
 MR_WINDOW = 64
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to the prime bases up to 41 is deterministic below psi_13;
+# up to 37, only below psi_12 = 318665857834031151167461, a composite.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3317044064679887385961981  # psi_13
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                  47, 53, 59, 61)
 
@@ -43,6 +46,13 @@ class PrimeTable:
             raise CoverageError(f"pi({x}) beyond table limit {self.limit}")
         return int(np.searchsorted(self.primes, x, side="right"))
 
+    @cached_property
+    def log_cumsum(self) -> np.ndarray:
+        """theta at the primes: entry j is the sum of log p over the
+        first j primes of the table, so entry 0 is 0."""
+        return np.concatenate(
+            ([0.0], np.cumsum(np.log(self.primes.astype(np.float64)))))
+
 
 @dataclass(frozen=True)
 class LambdaSegment:
@@ -57,21 +67,6 @@ class LambdaSegment:
     log_p: np.ndarray    # float64
     p: np.ndarray        # int64
     r: np.ndarray        # int64
-
-    @property
-    def entries(self) -> list[tuple[int, float, int, int]]:
-        return [(int(a), float(b), int(c), int(d))
-                for a, b, c, d in zip(self.n, self.log_p, self.p, self.r)]
-
-
-@dataclass(frozen=True)
-class KfreeDecomposition:
-    """The unique n = q * m**k with q free of k-th prime powers."""
-
-    n: int
-    k: int
-    q: int
-    m: int
 
 
 def sieve_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> PrimeTable:
@@ -91,7 +86,9 @@ def sieve_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> PrimeTable:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; valid for n < 3.3 * 10^24."""
+    """Deterministic Miller-Rabin for n below psi_13 (about 3.3 * 10^24)."""
+    if n >= MR_LIMIT:
+        raise DomainError(f"is_prime is deterministic only below {MR_LIMIT}")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -120,25 +117,14 @@ def iroot(n: int, r: int) -> int:
         raise DomainError(f"iroot({n}, {r})")
     if n == 0:
         return 0
+    if r >= n.bit_length():
+        return 1  # n < 2**r, and 2**r itself is never formed
     a = int(round(n ** (1.0 / r)))
     while a > 0 and a ** r > n:
         a -= 1
     while (a + 1) ** r <= n:
         a += 1
     return a
-
-
-def is_prime_power(n: int):
-    """(p, r) with n = p**r if n is a prime power, else None."""
-    if n < 1:
-        raise DomainError(f"is_prime_power({n})")
-    if n == 1:
-        return None
-    for r in range(n.bit_length() - 1, 0, -1):
-        a = iroot(n, r)
-        if a ** r == n and is_prime(a):
-            return a, r
-    return None
 
 
 def _check_interval(lo: int, hi: int, base: PrimeTable) -> None:
@@ -185,8 +171,7 @@ def _segments(lo: int, hi: int, seg_len: int):
 
 
 def prime_count_interval(lo: int, hi: int, base: PrimeTable, *,
-                         seg_len: int = DEFAULT_SEGMENT_LENGTH,
-                         threads: int = 1) -> int:
+                         seg_len: int = DEFAULT_SEGMENT_LENGTH) -> int:
     """#{p prime : lo < p <= hi}."""
     if lo < 1:
         raise DomainError(f"prime_count_interval requires lo >= 1, got {lo}")
@@ -198,14 +183,8 @@ def prime_count_interval(lo: int, hi: int, base: PrimeTable, *,
                    - np.searchsorted(base.primes, lo, side="right"))
     if hi - lo <= MR_WINDOW:
         return sum(1 for n in range(lo + 1, hi + 1) if is_prime(n))
-    segs = list(_segments(lo, hi, seg_len))
-    if threads > 1 and len(segs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(
-                lambda se: len(_segment_primes(se[0], se[1], base)), segs))
-    else:
-        counts = [len(_segment_primes(s, e, base)) for s, e in segs]
-    return sum(counts)  # fixed-order merge; integer, so exact anyway
+    return sum(len(_segment_primes(s, e, base))
+               for s, e in _segments(lo, hi, seg_len))
 
 
 def prime_counts_at(thresholds, base: PrimeTable, *,
@@ -275,19 +254,15 @@ def lambda_segment(lo: int, hi: int, base: PrimeTable,
 def psi(x, base: PrimeTable, seg_len: int = DEFAULT_SEGMENT_LENGTH) -> float:
     """Chebyshev psi(x) = sum of Lambda(n) over n <= x.
 
-    Per-segment sums are merged with math.fsum, so the accumulated
-    rounding error stays at a few ulps even for 10^8-term sums.
+    The one-threshold case of weighted_lambda_sums_at: per-segment sums
+    are merged with math.fsum, so the accumulated rounding error stays
+    at a few ulps even for 10^8-term sums.
     """
     xf = math.floor(x)
     if xf < 1:
         raise DomainError(f"psi requires x >= 1, got {x}")
-    if xf == 1:
-        return 0.0
-    partials = []
-    for s, e in _segments(1, xf, seg_len):
-        seg = lambda_segment(s, e, base, seg_len)
-        partials.append(float(np.sum(seg.log_p)))
-    return math.fsum(partials)
+    _check_interval(1, xf, base)  # before any int64 conversion
+    return float(weighted_lambda_sums_at([xf], base, seg_len=seg_len)[0])
 
 
 def weighted_lambda_sums_at(thresholds, base: PrimeTable, *,
@@ -319,49 +294,3 @@ def weighted_lambda_sums_at(thresholds, base: PrimeTable, *,
     lookup = dict(zip(order.tolist(), vals.tolist()))
     return np.array([lookup[int(t)] if t >= 2 else 0.0 for t in ts],
                     dtype=np.float64)
-
-
-_KFREE_CACHE: dict[str, PrimeTable] = {}
-
-
-def _kfree_base(n: int) -> PrimeTable:
-    need = max(iroot(n, 3) + 1, 100)
-    tbl = _KFREE_CACHE.get("t")
-    if tbl is None or tbl.limit < need:
-        tbl = sieve_primes(max(need, 10 ** 4))
-        _KFREE_CACHE["t"] = tbl
-    return tbl
-
-
-def kfree_decompose(n: int, k: int) -> KfreeDecomposition:
-    """Unique n = q * m**k with q k-free.
-
-    Trial division by primes up to n^(1/3), then a deterministic
-    primality classification of the cofactor; intended for n <= 10^12.
-    """
-    if n < 1:
-        raise DomainError(f"kfree_decompose requires n >= 1, got {n}")
-    if k < 2:
-        raise DomainError(f"kfree_decompose requires k >= 2, got {k}")
-    q = m = 1
-    tmp = n
-    for p in _kfree_base(n).primes.tolist():
-        if p * p * p > tmp:
-            break
-        if tmp % p == 0:
-            e = 0
-            while tmp % p == 0:
-                tmp //= p
-                e += 1
-            q *= p ** (e % k)
-            m *= p ** (e // k)
-    if tmp > 1:
-        s = math.isqrt(tmp)
-        if s * s == tmp:
-            # cofactor is p^2 with p prime (no factor <= cbrt remains)
-            q *= s ** (2 % k)
-            m *= s ** (2 // k)
-        else:
-            # prime, or a product of two distinct primes: exponents 1
-            q *= tmp
-    return KfreeDecomposition(n=n, k=k, q=q, m=m)

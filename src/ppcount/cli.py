@@ -21,6 +21,7 @@ import sys
 import time
 import uuid
 from dataclasses import asdict, dataclass, field
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
@@ -55,44 +56,38 @@ class RunManifest:
 
 @dataclass
 class Settings:
-    """Effective configuration: config file values overridden by flags."""
+    """Effective configuration: the --config file's values and --format."""
 
     sieve_ceiling: int = counting.DEFAULT_COUNT_CEILING
-    segment_size: int = arith.DEFAULT_SEGMENT_LENGTH
-    threads: int = 1
     zeros_path: str = ""
     fmt: str = "table"
 
 
-def _load_config(path: str) -> dict:
-    out = {}
-    with open(path) as f:
-        for raw in f:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            out[key] = val
-    return out
+CONFIG_KEYS = ("sieve_ceiling", "zeros_path")
 
 
 def _settings(args) -> Settings:
-    s = Settings()
-    if args.config:
-        cfg = _load_config(args.config)
-        if "sieve_ceiling" in cfg:
-            s.sieve_ceiling = int(float(cfg["sieve_ceiling"]))
-        if "segment_size" in cfg:
-            s.segment_size = int(cfg["segment_size"])
-        if "threads" in cfg:
-            s.threads = int(cfg["threads"])
-        if "zeros_path" in cfg:
-            s.zeros_path = cfg["zeros_path"]
-    if args.threads is not None:
-        s.threads = args.threads
-    s.fmt = args.format
+    """Reads the key = value lines of --config; a malformed line, an
+    unknown key or a bad value is a DomainError."""
+    s = Settings(fmt=args.format)
+    if not args.config:
+        return s
+    with open(args.config) as f:
+        lines = [line.strip() for line in f]
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        key, eq, val = (part.strip() for part in line.partition("="))
+        if not eq or key not in CONFIG_KEYS:
+            raise DomainError(f"config {args.config}: bad line {line!r}; "
+                              f"keys are {', '.join(CONFIG_KEYS)}")
+        if key == "zeros_path":
+            s.zeros_path = val
+            continue
+        try:
+            s.sieve_ceiling = _int_arg(val)
+        except argparse.ArgumentTypeError as e:
+            raise DomainError(f"config {args.config}: {key}: {e}") from None
     return s
 
 
@@ -141,33 +136,30 @@ def _write_manifest_sidecar(output: str, manifest: RunManifest) -> None:
         f.write("\n")
 
 
-def _base_for(x: int, settings: Settings) -> arith.PrimeTable:
-    need = max(100, math.isqrt(x) + 1)
-    return arith.sieve_primes(need)
+def _base_for(x: int) -> arith.PrimeTable:
+    """The prime table every command sieves with: it certifies all
+    primes up to x."""
+    return arith.sieve_primes(max(100, math.isqrt(x) + 1))
 
 
 def cmd_count(args, settings: Settings) -> int:
     t0 = time.time()
     x, k = args.x, args.k
-    base = _base_for(x, settings)
+    base = _base_for(x)
     rows = []
     methods = {"exact": ("exact",), "oracle": ("oracle",),
                "both": ("exact", "oracle")}[args.method]
     for method in methods:
         if method == "exact":
             r = counting.count_exact(x, k, base,
-                                     ceiling=settings.sieve_ceiling,
-                                     seg_len=settings.segment_size)
-            count, label = r.count, r.method
-            main, err = r.main_term, r.normalized_error
+                                     ceiling=settings.sieve_ceiling)
         else:
             r = counting.annotate_count(x, k, counting.count_oracle(x, k),
                                         method="kfree-oracle")
-            count, label = r.count, r.method
-            main, err = r.main_term, r.normalized_error
-        rows.append({"x": x, "k": k, "count": count, "main_term": main,
-                     "normalized_error": err, "A": exponents(k).A,
-                     "method": label})
+        rows.append({"x": x, "k": k, "count": r.count,
+                     "main_term": r.main_term,
+                     "normalized_error": r.normalized_error,
+                     "A": exponents(k).A, "method": r.method})
     manifest = RunManifest(command="count",
                            parameters={"x": x, "k": k, "method": args.method},
                            timings_ms={"total": (time.time() - t0) * 1000})
@@ -182,12 +174,11 @@ def cmd_sweep(args, settings: Settings) -> int:
     grid = np.unique(np.logspace(math.log10(args.x_min),
                                  math.log10(args.x_max),
                                  args.points).astype(np.int64))
-    base = _base_for(int(grid[-1]), settings)
+    base = _base_for(int(grid[-1]))
     rows = []
     for x in grid.tolist():
         r = counting.count_exact(int(x), args.k, base,
-                                 ceiling=settings.sieve_ceiling,
-                                 seg_len=settings.segment_size)
+                                 ceiling=settings.sieve_ceiling)
         rows.append({"x": r.x, "k": r.k, "count": r.count,
                      "main_term": r.main_term,
                      "error": r.count - r.main_term,
@@ -214,7 +205,7 @@ def cmd_sweep(args, settings: Settings) -> int:
 
 def cmd_cstar(args, settings: Settings) -> int:
     t0 = time.time()
-    base = _base_for(args.x, settings)
+    base = _base_for(args.x)
     r = counting.cstar(args.x, args.k, base)
     corr = counting.prime_power_correction(args.x, args.k, base)
     rows = [{"x": r.x, "k": r.k, "cstar": r.value, "main_term": r.main_term,
@@ -231,7 +222,7 @@ def cmd_cstar(args, settings: Settings) -> int:
 def cmd_explicit(args, settings: Settings) -> int:
     t0 = time.time()
     table = _zero_table(args, settings)
-    base = _base_for(int(args.x), settings)
+    base = _base_for(int(args.x))
     exact = explicit.psi1_exact(args.x, base)
     value, bound = explicit.psi1_via_zeros(args.x, table,
                                            include_trivial_tail=args.tail)
@@ -252,18 +243,14 @@ def cmd_interval(args, settings: Settings) -> int:
     t0 = time.time()
     x, k = args.x, args.k
     if args.f is not None:
-        A = exponents(k).A
-        scale = math.sqrt(x) * math.log(x) ** A
-        h = max(2, int(round(args.f * scale)))
-        delta = min(h, max(2, int(round(math.sqrt(args.f) * scale))))
+        h, delta = counting.interval_scaling(x, args.f, k)
+    elif args.h is None or args.h < 1:
+        raise DomainError("interval needs --h >= 1 or --f > 1")
     else:
-        if args.h is None or args.h < 1:
-            raise DomainError("interval needs --h >= 1 or --f > 1")
-        h, delta = args.h, None
-    base = arith.sieve_primes(max(100, math.isqrt(x + h) + 1))
-    count = counting.count_interval(x, h, k, base,
-                                    threads=settings.threads,
-                                    seg_len=settings.segment_size)
+        h, delta = args.h, max(2, args.h // 10)
+    # sized for S_Delta, which reads prime powers up to x + h + delta
+    base = _base_for(x + h + delta)
+    count = counting.count_interval(x, h, k, base)
     expected, rel = counting.interval_deviation(x, h, k, count)
     row = {"x": x, "h": h, "k": k, "count": count, "expected": expected,
            "rel_deviation": rel}
@@ -275,9 +262,9 @@ def cmd_interval(args, settings: Settings) -> int:
     if args.with_zeros:
         table = _zero_table(args, settings)
         table_src, trunc = table.source_label, len(table)
-        d = float(delta if delta is not None else max(2, h // 10))
-        sd = explicit.s_delta_direct(float(x), float(h), d, base)
-        row["s_delta_direct"] = sd
+        d = float(delta)
+        row["s_delta_direct"] = explicit.s_delta_direct(float(x), float(h),
+                                                        d, base)
         if x / d <= table.max_ordinate:
             bd = explicit.zero_sum_breakdown(float(x), float(h), d, table)
             row["ratio_low"], row["ratio_mid"], row["ratio_high"] = bd.ratios
@@ -313,22 +300,26 @@ def cmd_zeros_stats(args, settings: Settings) -> int:
 
 
 def cmd_fetch_zeros(args, settings: Settings) -> int:
-    import requests
+    # imported here: no other command needs the HTTP stack
+    import urllib.parse
+    import urllib.request
 
     try:
-        resp = requests.get(args.url, timeout=60)
-        resp.raise_for_status()
-        text = resp.text
-    except requests.RequestException as e:
+        scheme = urllib.parse.urlsplit(args.url).scheme
+        if scheme not in ("http", "https"):
+            raise ValueError(f"need an http or https URL, got {args.url!r}")
+        with urllib.request.urlopen(args.url, timeout=60) as resp:
+            body = resp.read()
+    except (OSError, ValueError) as e:  # URLError and HTTPError are OSErrors
         print(f"error: fetch failed: {e}", file=sys.stderr)
         return EXIT_NETWORK
     try:
-        ordinates = zeros._parse_lines(io.StringIO(text), args.url,
-                                       limit=args.limit)
+        ordinates = zeros._parse_lines(io.StringIO(body.decode("utf-8")),
+                                       args.url, limit=args.limit)
         zeros.validate_table(ordinates, args.url)
         if len(ordinates) == 0:
             raise IntegrityError("no ordinates in download")
-    except (TableParseError, IntegrityError) as e:
+    except (TableParseError, IntegrityError, UnicodeDecodeError) as e:
         print(f"error: downloaded table failed validation: {e}",
               file=sys.stderr)
         return EXIT_VALIDATION
@@ -360,59 +351,60 @@ def build_parser() -> argparse.ArgumentParser:
                     "main terms and explicit-formula diagnostics.")
     p.add_argument("--format", choices=("table", "csv", "json"),
                    default="table")
-    p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--config", default=None,
+                   help="file of key = value lines: "
+                        + ", ".join(CONFIG_KEYS))
     sub = p.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("count", help="exact C_k(x) with main term")
     c.add_argument("--x", type=_int_arg, required=True)
-    c.add_argument("--k", type=int, required=True)
+    c.add_argument("--k", type=_int_arg, required=True)
     c.add_argument("--method", choices=("exact", "oracle", "both"),
                    default="exact")
     c.set_defaults(fn=cmd_count)
 
     c = sub.add_parser("sweep", help="normalized-error curve to CSV")
-    c.add_argument("--k", type=int, required=True)
+    c.add_argument("--k", type=_int_arg, required=True)
     c.add_argument("--x-min", type=_int_arg, required=True)
     c.add_argument("--x-max", type=_int_arg, required=True)
-    c.add_argument("--points", type=int, default=10)
+    c.add_argument("--points", type=_int_arg, default=10)
     c.add_argument("--output", required=True)
     c.set_defaults(fn=cmd_sweep)
 
     c = sub.add_parser("cstar", help="weighted count C*_k(x)")
     c.add_argument("--x", type=_int_arg, required=True)
-    c.add_argument("--k", type=int, required=True)
+    c.add_argument("--k", type=_int_arg, required=True)
     c.set_defaults(fn=cmd_cstar)
 
     c = sub.add_parser("explicit", help="psi_1 vs the zero-sum formula")
-    c.add_argument("--x", type=float, required=True)
+    c.add_argument("--x", type=_float_arg, required=True)
     c.add_argument("--zeros", default=None)
-    c.add_argument("--limit", type=int, default=None)
+    c.add_argument("--limit", type=_int_arg, default=None)
     c.add_argument("--tail", action="store_true",
                    help="include the trivial-zero tail")
     c.set_defaults(fn=cmd_explicit)
 
     c = sub.add_parser("interval", help="short-interval count")
     c.add_argument("--x", type=_int_arg, required=True)
-    c.add_argument("--k", type=int, required=True)
+    c.add_argument("--k", type=_int_arg, required=True)
     c.add_argument("--h", type=_int_arg, default=None)
-    c.add_argument("--f", type=float, default=None)
+    c.add_argument("--f", type=_float_arg, default=None)
     c.add_argument("--zeros", default=None)
-    c.add_argument("--limit", type=int, default=None)
+    c.add_argument("--limit", type=_int_arg, default=None)
     c.add_argument("--with-zeros", action="store_true",
                    help="add S_Delta and zero-sum breakdown diagnostics")
     c.set_defaults(fn=cmd_interval)
 
     c = sub.add_parser("zeros-stats", help="zero-table statistics")
     c.add_argument("--zeros", default=None)
-    c.add_argument("--limit", type=int, default=None)
-    c.add_argument("--T", type=float, nargs="*", default=None)
+    c.add_argument("--limit", type=_int_arg, default=None)
+    c.add_argument("--T", type=_float_arg, nargs="*", default=None)
     c.set_defaults(fn=cmd_zeros_stats)
 
     c = sub.add_parser("fetch-zeros", help="download and validate a table")
     c.add_argument("--url", required=True)
     c.add_argument("--output", required=True)
-    c.add_argument("--limit", type=int, default=None)
+    c.add_argument("--limit", type=_int_arg, default=None)
     c.set_defaults(fn=cmd_fetch_zeros)
 
     c = sub.add_parser("verify", help="run the acceptance checks")
@@ -422,11 +414,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _int_arg(s: str) -> int:
-    # accept 1e6-style scientific notation for integer arguments
-    v = float(s)
-    if v != int(v):
-        raise argparse.ArgumentTypeError(f"not an integer: {s}")
+    """An integer in [0, 10^30), parsed exactly: plain digits, or
+    1e6-style notation whose value is integral."""
+    try:
+        v = Decimal(s)
+    except InvalidOperation:
+        raise argparse.ArgumentTypeError(f"not a number: {s!r}") from None
+    if not (v.is_finite() and 0 <= v < 10 ** 30
+            and v == v.to_integral_value()):
+        raise argparse.ArgumentTypeError(
+            f"not an integer in [0, 10^30): {s!r}")
     return int(v)
+
+
+def _float_arg(s: str) -> float:
+    """A finite, non-negative number."""
+    try:
+        v = float(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {s!r}") from None
+    if not (math.isfinite(v) and v >= 0):
+        raise argparse.ArgumentTypeError(
+            f"not a finite non-negative number: {s!r}")
+    return v
 
 
 def main(argv=None) -> int:

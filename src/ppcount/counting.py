@@ -68,14 +68,10 @@ def _normalized(diff: float, x: int, k: int) -> float:
     return diff / (math.sqrt(x) * math.log(x) ** exponents(k).A)
 
 
-def _main_term(x: int, k: int) -> float:
-    return zeta_int(k) * li(x) if x > 1 else 0.0
-
-
 def annotate_count(x: int, k: int, count: int,
                    method: str = "pair-enumeration") -> CountResult:
     """Attach the main term and normalized error to a raw count."""
-    main = _main_term(x, k)
+    main = zeta_int(k) * li(x) if x > 1 else 0.0
     return CountResult(x=x, k=k, count=count, main_term=main,
                        normalized_error=_normalized(count - main, x, k),
                        method=method)
@@ -171,20 +167,7 @@ def _theta_from_table(y: int, base: PrimeTable) -> float:
         raise CapacityError(
             f"theta({y}) needs primes beyond base limit {base.limit}")
     j = int(np.searchsorted(base.primes, y, side="right"))
-    return float(_log_cumsum(base)[j])
-
-
-_LOG_CUMSUM_CACHE: dict[int, tuple[PrimeTable, np.ndarray]] = {}
-
-
-def _log_cumsum(base: PrimeTable) -> np.ndarray:
-    hit = _LOG_CUMSUM_CACHE.get(id(base))
-    if hit is not None and hit[0] is base:
-        return hit[1]
-    cs = np.concatenate(([0.0],
-                         np.cumsum(np.log(base.primes.astype(np.float64)))))
-    _LOG_CUMSUM_CACHE[id(base)] = (base, cs)
-    return cs
+    return float(base.log_cumsum[j])
 
 
 @dataclass(frozen=True)
@@ -222,7 +205,6 @@ def prime_power_correction(x: int, k: int,
 
 
 def count_interval(x: int, h: int, k: int, base: PrimeTable, *,
-                   threads: int = 1,
                    seg_len: int = arith.DEFAULT_SEGMENT_LENGTH) -> int:
     """#{n in (x, x+h] : n = p * m^k}, sieving only the per-m windows
     (x // m^k, (x+h) // m^k]; nothing below x is ever sieved."""
@@ -235,7 +217,7 @@ def count_interval(x: int, h: int, k: int, base: PrimeTable, *,
         lo, hi = x // mk, (x + h) // mk
         if hi > lo:
             total += arith.prime_count_interval(
-                max(lo, 1), hi, base, threads=threads, seg_len=seg_len)
+                max(lo, 1), hi, base, seg_len=seg_len)
     return total
 
 
@@ -251,10 +233,24 @@ def interval_deviation(x: int, h: int, k: int,
     return expected, count / expected - 1.0
 
 
+def interval_scaling(x: int, f: float, k: int) -> tuple[int, int]:
+    """(h, delta) for the short-interval experiment at x: h = f * scale
+    and delta = f^(1/2) * scale, rounded, with scale = x^(1/2) log^A(k) x
+    and 2 <= delta <= h."""
+    if x < 1 or not f > 1.0:
+        raise DomainError("the interval scaling requires x >= 1 and f > 1, "
+                          f"got x = {x}, f = {f}")
+    scale = math.sqrt(x) * math.log(x) ** exponents(k).A
+    if not math.isfinite(f * scale):
+        raise DomainError(f"h = f * x^(1/2) log^A x overflows at f = {f}")
+    h = max(2, int(round(f * scale)))
+    return h, min(h, max(2, int(round(math.sqrt(f) * scale))))
+
+
 @dataclass(frozen=True)
 class Theorem3Report:
-    """One short-interval experiment: h, delta chosen from the scaling
-    h = f * x^(1/2) log^A x, delta = f^(1/2) * x^(1/2) log^A x."""
+    """One short-interval experiment, with h and delta chosen by
+    interval_scaling."""
 
     x: int
     k: int
@@ -271,12 +267,7 @@ class Theorem3Report:
 def theorem3_experiment(x: int, f: float, k: int,
                         base: PrimeTable) -> Theorem3Report:
     k = _check_xk(x, k)
-    if f <= 1.0:
-        raise DomainError(f"theorem3_experiment requires f > 1, got {f}")
-    A = exponents(k).A
-    scale = math.sqrt(x) * math.log(x) ** A
-    h = max(2, int(round(f * scale)))
-    delta = min(h, max(2, int(round(math.sqrt(f) * scale))))
+    h, delta = interval_scaling(x, f, k)
     count = count_interval(x, h, k, base)
     expected, rel = interval_deviation(x, h, k, count)
     sd = s_delta_direct(float(x), float(h), float(delta), base)

@@ -11,8 +11,8 @@ with coefficients (+, -, -, +); the direct-sum equality tests pin this
 down numerically.
 
 Zero sums pair each rho = 1/2 + i*gamma with its conjugate (computed as
-2*Re in real arithmetic) and accumulate in descending-gamma order with
-exact (fsum) summation, so small terms are never swamped.
+2*Re in real arithmetic) and accumulate with correctly rounded (fsum)
+summation, so small terms are never swamped.
 """
 
 from __future__ import annotations
@@ -181,11 +181,6 @@ def s_rho(gamma: float, x: float, h: float, delta: float) -> complex:
     return num / (rho * (rho + 1.0))
 
 
-def _fsum_desc(terms: np.ndarray) -> float:
-    # descending-gamma order = ascending magnitude; fsum is exact anyway
-    return math.fsum(terms[::-1])
-
-
 def trivial_zero_tail(x: float) -> float:
     """Contribution of the trivial zeros: sum over r >= 1 of
     x^(1-2r) / ((2r)(2r-1)); subtracted from the psi_1 formula."""
@@ -213,7 +208,7 @@ def psi1_via_zeros(x: float, table: ZeroTable,
     rho = 0.5 + 1j * g
     terms = 2.0 * np.real(x ** 1.5 * np.exp(1j * (g * math.log(x)))
                           / (rho * (rho + 1.0)))
-    zsum = _fsum_desc(terms)
+    zsum = math.fsum(terms)
     value = (x * x / 2.0 - zsum - ZETA_LOGDERIV_0 * x + ZETA_LOGDERIV_M1)
     if include_trivial_tail:
         value -= trivial_zero_tail(x)
@@ -230,7 +225,7 @@ def s_delta_via_zeros(x: float, h: float, delta: float,
     TrapezoidWeight(x=x, h=h, delta=delta)
     table._require_nonempty()
     terms = _s_rho_sums(table.ordinates, x, h, delta)
-    value = h + delta - _fsum_desc(terms) / delta
+    value = h + delta - math.fsum(terms) / delta
     tail = 8.0 * (x + h + delta) ** 1.5 * inv_gamma_sq_beyond(
         table.max_ordinate, len(table))
     bound = tail / delta + 1.0 / (delta * x)
@@ -266,9 +261,9 @@ def zero_sum_breakdown(x: float, h: float, delta: float,
     terms = _s_rho_sums(g, x, h, delta)
     i_low = np.searchsorted(g, x / h, side="right")
     i_mid = np.searchsorted(g, x / delta, side="right")
-    low = _fsum_desc(terms[:i_low])
-    mid = _fsum_desc(terms[i_low:i_mid])
-    high = _fsum_desc(terms[i_mid:])
+    low = math.fsum(terms[:i_low])
+    mid = math.fsum(terms[i_low:i_mid])
+    high = math.fsum(terms[i_mid:])
     sx_lx = math.sqrt(x) * math.log(x)
     bounds = (delta * sx_lx, h * sx_lx, delta * sx_lx)
     remainder = 8.0 * (x + h + delta) ** 1.5 * inv_gamma_sq_beyond(

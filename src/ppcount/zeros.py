@@ -55,10 +55,6 @@ def rvm_estimate(T: float) -> float:
     """Riemann-von Mangoldt main term (T/2pi)log(T/2pi e) + 7/8."""
     if T <= TWO_PI * math.e:
         raise DomainError(f"rvm_estimate requires T > 2*pi*e, got {T}")
-    return _rvm_raw(T)
-
-
-def _rvm_raw(T: float) -> float:
     return T / TWO_PI * math.log(T / (TWO_PI * math.e)) + 7.0 / 8.0
 
 

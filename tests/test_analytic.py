@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from scipy import integrate
 
@@ -21,6 +22,15 @@ class TestLi:
                                        limit=200)
             got = analytic.li_interval(x1, x2)
             assert got == pytest.approx(want, rel=1e-9)
+
+    def test_relative_error_against_mpmath(self):
+        # the documented accuracy: relative error below 1e-14 on
+        # [10^3, 10^15], so absolute error grows with x
+        with mpmath.workdps(40):
+            for i in range(61):
+                x = 10.0 ** (3 + i / 5)
+                want = mpmath.li(x)
+                assert abs((analytic.li(x) - want) / want) < 1e-14, x
 
     def test_strictly_increasing(self):
         vals = [analytic.li(x) for x in (1.5, 2, 5, 10, 1e3, 1e6, 1e12, 1e15)]
@@ -121,11 +131,6 @@ class TestExponents:
         assert analytic.exponents(2).A == 2
         assert analytic.exponents(3).A == 1
         assert analytic.exponents(7).A == 1
-
-    def test_g_of_h(self):
-        assert analytic.exponents(2).g_of_h(100.0) == pytest.approx(
-            math.log(100.0))
-        assert analytic.exponents(3).g_of_h(100.0) == 1.0
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from ppcount import arith
@@ -27,6 +27,13 @@ class TestSievePrimes:
         with pytest.raises(CoverageError):
             base_1e4.count_upto(10 ** 4 + 1)
 
+    def test_log_cumsum(self, base100):
+        cs = base100.log_cumsum
+        assert cs[0] == 0.0 and len(cs) == 26
+        want = math.fsum(math.log(p) for p in trial_division_primes(100))
+        assert cs[-1] == pytest.approx(want, rel=1e-13)
+        assert base100.log_cumsum is cs  # computed once per table
+
     def test_domain_and_budget(self):
         with pytest.raises(DomainError):
             arith.sieve_primes(1)
@@ -46,6 +53,16 @@ class TestIsPrime:
         assert arith.is_prime(2 ** 61 - 1)            # Mersenne prime
         assert not arith.is_prime(2 ** 67 - 1)        # 193707721 * 761838257287
 
+    def test_base_41_range(self):
+        # psi_12 passes bases 2..37; base 41 exposes it
+        psi12 = 318665857834031151167461
+        assert psi12 == 399165290221 * 798330580441
+        assert not arith.is_prime(psi12)
+        assert arith.is_prime(10 ** 24 + 7)
+        assert not arith.is_prime(arith.MR_LIMIT - 1)  # even
+        with pytest.raises(DomainError):
+            arith.is_prime(arith.MR_LIMIT)  # psi_13, composite
+
 
 class TestIroot:
     @given(st.integers(0, 10 ** 18), st.integers(1, 64))
@@ -53,30 +70,16 @@ class TestIroot:
         a = arith.iroot(n, r)
         assert a ** r <= n < (a + 1) ** r
 
+    def test_huge_exponent(self):
+        assert arith.iroot(10 ** 18, 10 ** 29) == 1
+        assert arith.iroot(2 ** 64, 64) == 2
+        assert arith.iroot(2 ** 64 - 1, 64) == 1
+
     def test_errors(self):
         with pytest.raises(DomainError):
             arith.iroot(-1, 2)
         with pytest.raises(DomainError):
             arith.iroot(4, 0)
-
-
-class TestIsPrimePower:
-    def test_examples(self):
-        assert arith.is_prime_power(8) == (2, 3)
-        assert arith.is_prime_power(7) == (7, 1)
-        assert arith.is_prime_power(2 ** 20) == (2, 20)
-        assert arith.is_prime_power(6) is None
-        assert arith.is_prime_power(1) is None
-
-    def test_exhaustive_small(self):
-        for n in range(2, 3000):
-            got = arith.is_prime_power(n)
-            if got is None:
-                assert naive_lambda(n) == 0.0
-            else:
-                p, r = got
-                assert p ** r == n
-                assert naive_lambda(n) == pytest.approx(math.log(p))
 
 
 class TestPrimeCountInterval:
@@ -103,12 +106,12 @@ class TestPrimeCountInterval:
                 + arith.prime_count_interval(mid, hi, base_1e4)
                 == arith.prime_count_interval(lo, hi, base_1e4))
 
-    def test_threads_match_serial(self, base_1e4):
+    def test_segment_length_independence(self, base_1e4):
         lo, hi = 10 ** 6, 10 ** 6 + 10 ** 5
-        serial = arith.prime_count_interval(lo, hi, base_1e4, seg_len=2 ** 14)
-        threaded = arith.prime_count_interval(lo, hi, base_1e4,
-                                              seg_len=2 ** 14, threads=4)
-        assert serial == threaded
+        want = arith.prime_count_interval(lo, hi, base_1e4)
+        for seg_len in (2 ** 14, 3 << 12):
+            assert arith.prime_count_interval(lo, hi, base_1e4,
+                                              seg_len=seg_len) == want
 
     def test_errors(self, base100):
         with pytest.raises(DomainError):
@@ -170,6 +173,8 @@ class TestPsi:
     def test_domain(self, base100):
         with pytest.raises(DomainError):
             arith.psi(0, base100)
+        with pytest.raises(CoverageError):
+            arith.psi(2 ** 64, base100)  # beyond int64, and beyond 100^2
 
 
 class TestWeightedLambdaSumsAt:
@@ -184,49 +189,3 @@ class TestWeightedLambdaSumsAt:
                                             primes_only=True)
         want = math.fsum(math.log(p) for p in trial_division_primes(100))
         assert got[0] == pytest.approx(want, rel=1e-13)
-
-
-class TestKfreeDecompose:
-    def test_examples(self):
-        d = arith.kfree_decompose(72, 2)
-        assert (d.q, d.m) == (2, 6)
-        d = arith.kfree_decompose(8, 3)
-        assert (d.q, d.m) == (1, 2)
-        d = arith.kfree_decompose(97, 5)
-        assert (d.q, d.m) == (97, 1)
-        d = arith.kfree_decompose(1, 2)
-        assert (d.q, d.m) == (1, 1)
-
-    def test_errors(self):
-        with pytest.raises(DomainError):
-            arith.kfree_decompose(0, 2)
-        with pytest.raises(DomainError):
-            arith.kfree_decompose(10, 1)
-
-    def test_exhaustive_small(self):
-        for k in (2, 3, 4):
-            for n in range(1, 2000):
-                d = arith.kfree_decompose(n, k)
-                assert d.q * d.m ** k == n
-                # q must be k-free: no prime k-th power divides it
-                for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
-                    if p ** k > d.q:
-                        break
-                    assert d.q % p ** k != 0, (n, k, d)
-
-    def test_semiprime_cofactor(self):
-        # cofactor p*q with cbrt(n) < p < q exercises the two-prime branch
-        n = 1009 * 1013
-        d = arith.kfree_decompose(n, 2)
-        assert (d.q, d.m) == (n, 1)
-        # cofactor p^2 exercises the perfect-square branch
-        n = 9 * 1009 ** 2
-        d = arith.kfree_decompose(n, 2)
-        assert (d.q, d.m) == (1, 3 * 1009)
-
-    @given(st.integers(1, 10 ** 9), st.integers(2, 6))
-    @settings(max_examples=60, deadline=None)
-    def test_reconstruction_property(self, n, k):
-        d = arith.kfree_decompose(n, k)
-        assert d.q * d.m ** k == n
-        assert d.m >= 1 and d.q >= 1

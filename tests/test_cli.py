@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import sys
 import threading
 from importlib import metadata
 from pathlib import Path
@@ -66,7 +67,56 @@ class TestCount:
         assert e.value.code == 2
 
 
+class TestArguments:
+    @pytest.mark.parametrize("argv", [
+        ["count", "--x", "1e400", "--k", "2"],
+        ["count", "--x", "inf", "--k", "2"],
+        ["count", "--x", "-5", "--k", "2"],
+        ["count", "--x", "1e30", "--k", "2"],
+        ["explicit", "--x", "-3"],
+        ["explicit", "--x", "inf"],
+        ["explicit", "--x", "nan"],
+        ["interval", "--x", "1e6", "--k", "2", "--f", "nan"],
+        ["--threads", "2", "count", "--x", "100", "--k", "2"],
+    ])
+    def test_bad_argument_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv)
+        assert e.value.code == cli.EXIT_USAGE
+        assert "error" in capsys.readouterr().err
+
+    def test_integers_parsed_exactly(self):
+        parser = cli.build_parser()
+        for text, want in (("1000000000000000001", 10 ** 18 + 1),
+                           ("9007199254740993", 2 ** 53 + 1),
+                           ("1e6", 10 ** 6), ("2.5e1", 25)):
+            args = parser.parse_args(["count", "--x", text, "--k", "2"])
+            assert args.x == want and type(args.x) is int
+
+    def test_f_at_most_one_is_usage_error(self, capsys):
+        rc, _, err = run(capsys, "interval", "--x", "1e6", "--k", "2",
+                         "--f", "0.5")
+        assert rc == cli.EXIT_USAGE
+        assert "f > 1" in err
+
+
 class TestConfig:
+    @pytest.mark.parametrize("text, needle", [
+        ("sieve_ceiling = abc\n", "sieve_ceiling"),
+        ("sieve_ceiling = 12.5\n", "sieve_ceiling"),
+        ("threads = 4\n", "threads"),
+        ("segment_size = 65536\n", "segment_size"),
+        ("sieve_ceiling 1000\n", "bad line"),
+    ])
+    def test_bad_config_is_usage_error(self, capsys, tmp_path, text, needle):
+        cfg = tmp_path / "ppc.cfg"
+        cfg.write_text(text)
+        rc, out, err = run(capsys, "--config", str(cfg),
+                           "count", "--x", "100", "--k", "2")
+        assert rc == cli.EXIT_USAGE
+        assert out == ""
+        assert needle in err
+
     def test_capacity_from_config(self, capsys, tmp_path):
         cfg = tmp_path / "ppc.cfg"
         cfg.write_text("# limits\nsieve_ceiling = 1e3\n")
@@ -179,6 +229,19 @@ class TestInterval:
         assert row["f"] == 4.0
         assert row["predicted_scale"] == pytest.approx(0.5)
         assert 2 <= row["delta"] <= row["h"]
+        assert (row["h"], row["delta"]) == counting.interval_scaling(
+            10 ** 6, 4.0, 3)
+
+    def test_f_scaling_with_zeros(self, capsys):
+        # S_Delta reads up to x + h + delta, beyond sqrt(x + h)^2
+        rc, out, _ = run(capsys, "--format", "json", "interval",
+                         "--x", "1e8", "--k", "2", "--f", "4",
+                         "--with-zeros")
+        assert rc == 0
+        row = json.loads(out)["rows"][0]
+        for key in ("s_delta_direct", "ratio_low", "ratio_mid",
+                    "ratio_high"):
+            assert key in row
 
     def test_with_zeros_diagnostics(self, capsys):
         rc, out, _ = run(capsys, "--format", "json", "interval",
@@ -262,6 +325,33 @@ class TestFetchZeros:
                          "--output", str(out_path))
         assert rc == cli.EXIT_VALIDATION
         assert not out_path.exists()
+
+    def test_fetch_without_requests(self, capsys, tmp_path, zero_server,
+                                    monkeypatch):
+        # the standard library alone fetches; requests is not a dependency
+        monkeypatch.setitem(sys.modules, "requests", None)
+        out_path = tmp_path / "fetched.txt"
+        rc, _, _ = run(capsys, "fetch-zeros",
+                       "--url", zero_server + "/good.txt",
+                       "--output", str(out_path))
+        assert rc == 0
+        assert len(zeros.load_zeros(out_path)) == 100
+
+    def test_missing_file_is_network_error(self, capsys, tmp_path,
+                                           zero_server):
+        rc, _, err = run(capsys, "fetch-zeros",
+                         "--url", zero_server + "/absent.txt",
+                         "--output", str(tmp_path / "o.txt"))
+        assert rc == cli.EXIT_NETWORK
+        assert "404" in err
+
+    @pytest.mark.parametrize("url", ["notaurl", "file:///etc/hostname"])
+    def test_non_http_url_is_network_error(self, capsys, tmp_path, url):
+        rc, _, err = run(capsys, "fetch-zeros", "--url", url,
+                         "--output", str(tmp_path / "o.txt"))
+        assert rc == cli.EXIT_NETWORK
+        assert "http" in err
+        assert not (tmp_path / "o.txt").exists()
 
     def test_unreachable_host(self, capsys, tmp_path):
         rc, _, err = run(capsys, "fetch-zeros",

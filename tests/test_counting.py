@@ -159,12 +159,11 @@ class TestCountInterval:
             want = brute_count(x + h, 2) - brute_count(x, 2)
             assert counting.count_interval(x, h, 2, base_1e4) == want
 
-    def test_threads_deterministic(self, base_1e4):
-        a = counting.count_interval(10 ** 6, 10 ** 5, 2, base_1e4,
-                                    seg_len=2 ** 14)
-        b = counting.count_interval(10 ** 6, 10 ** 5, 2, base_1e4,
-                                    seg_len=2 ** 14, threads=4)
-        assert a == b
+    def test_segment_length_independence(self, base_1e4):
+        want = counting.count_interval(10 ** 6, 10 ** 5, 2, base_1e4)
+        for seg_len in (2 ** 14, 3 << 12):
+            assert counting.count_interval(10 ** 6, 10 ** 5, 2, base_1e4,
+                                           seg_len=seg_len) == want
 
     def test_domain(self, base100):
         with pytest.raises(DomainError):
@@ -202,3 +201,6 @@ class TestTheorem3Experiment:
     def test_domain(self, base100):
         with pytest.raises(DomainError):
             counting.theorem3_experiment(10 ** 4, 1.0, 2, base100)
+        for x, f in ((0, 4.0), (10 ** 4, float("nan")), (10 ** 4, 1e308)):
+            with pytest.raises(DomainError):
+                counting.interval_scaling(x, f, 2)
