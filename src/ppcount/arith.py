@@ -40,11 +40,11 @@ class PrimeTable:
     limit: int
     primes: np.ndarray  # int64, ascending
 
-    def count_upto(self, x: int) -> int:
-        """pi(x) by binary search; requires x <= limit."""
-        if x > self.limit:
-            raise CoverageError(f"pi({x}) beyond table limit {self.limit}")
-        return int(np.searchsorted(self.primes, x, side="right"))
+    def check_covers(self, hi: int) -> None:
+        """CoverageError unless the table certifies every prime up to hi."""
+        if self.limit * self.limit < hi:
+            raise CoverageError(
+                f"base table to {self.limit} cannot certify primes up to {hi}")
 
     @cached_property
     def log_cumsum(self) -> np.ndarray:
@@ -65,17 +65,15 @@ class LambdaSegment:
     hi: int
     n: np.ndarray        # int64
     log_p: np.ndarray    # float64
-    p: np.ndarray        # int64
-    r: np.ndarray        # int64
 
 
-def sieve_primes(limit: int, budget: int = DEFAULT_SIEVE_BUDGET) -> PrimeTable:
+def sieve_primes(limit: int) -> PrimeTable:
     """Complete prime table up to ``limit`` (inclusive)."""
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    if limit > budget:
-        raise CapacityError(
-            f"sieve limit {limit} exceeds memory budget {budget}")
+    if limit > DEFAULT_SIEVE_BUDGET:
+        raise CapacityError(f"sieve limit {limit} exceeds memory budget "
+                            f"{DEFAULT_SIEVE_BUDGET}")
     is_comp = np.zeros(limit + 1, dtype=bool)
     is_comp[:2] = True
     for p in range(2, math.isqrt(limit) + 1):
@@ -130,9 +128,7 @@ def iroot(n: int, r: int) -> int:
 def _check_interval(lo: int, hi: int, base: PrimeTable) -> None:
     if not 0 <= lo <= hi:
         raise DomainError(f"need 0 <= lo <= hi, got ({lo}, {hi})")
-    if base.limit * base.limit < hi:
-        raise CoverageError(
-            f"base table to {base.limit} cannot certify primes up to {hi}")
+    base.check_covers(hi)
 
 
 def _segment_primes(lo: int, hi: int, base: PrimeTable) -> np.ndarray:
@@ -203,55 +199,49 @@ def prime_counts_at(thresholds, base: PrimeTable, *,
     if hi <= base.limit:
         return np.searchsorted(base.primes, ts, side="right").astype(np.int64)
     _check_interval(1, hi, base)
-    order = np.sort(np.unique(ts))
+    order = np.unique(ts)
     counts = np.zeros(order.size, dtype=np.int64)
     running = 0
     for s, e in _segments(0, hi, seg_len):
         ps = _segment_primes(s, e, base)
         i0, i1 = np.searchsorted(order, [s, e], side="right")
-        for i in range(i0, i1):
-            counts[i] = running + np.searchsorted(ps, order[i], side="right")
+        counts[i0:i1] = running + np.searchsorted(ps, order[i0:i1],
+                                                  side="right")
         running += len(ps)
-    lookup = dict(zip(order.tolist(), counts.tolist()))
-    return np.array([lookup[int(t)] if t >= 1 else 0 for t in ts],
-                    dtype=np.int64)
+    return counts[np.searchsorted(order, ts)]
 
 
 def lambda_segment(lo: int, hi: int, base: PrimeTable,
                    seg_len: int = DEFAULT_SEGMENT_LENGTH) -> LambdaSegment:
-    """All n in (lo, hi] with Lambda(n) != 0, with exact (p, r)."""
+    """All n in (lo, hi] with Lambda(n) != 0, with log p."""
     _check_interval(lo, hi, base)
     parts = [_segment_primes(s, e, base) for s, e in _segments(lo, hi, seg_len)]
-    primes = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    ns = [primes]
-    ps = [primes]
-    rs = [np.ones(len(primes), dtype=np.int64)]
     # higher powers: p <= sqrt(hi) always lies within the base table
-    extra = []
+    powers, roots = [], []
     for p in base.primes[: bisect_right(base.primes, math.isqrt(hi))].tolist():
-        pr, r = p * p, 2
+        pr = p * p
         while pr <= hi:
             if pr > lo:
-                extra.append((pr, p, r))
+                powers.append(pr)
+                roots.append(p)
             pr *= p
-            r += 1
-    if extra:
-        extra.sort()
-        e = np.array(extra, dtype=np.int64)
-        ns.append(e[:, 0])
-        ps.append(e[:, 1])
-        rs.append(e[:, 2])
-    n_all = np.concatenate(ns)
-    p_all = np.concatenate(ps)
-    r_all = np.concatenate(rs)
-    order = np.argsort(n_all, kind="stable")
-    n_all, p_all, r_all = n_all[order], p_all[order], r_all[order]
-    return LambdaSegment(lo=lo, hi=hi, n=n_all,
-                         log_p=np.log(p_all.astype(np.float64)),
-                         p=p_all, r=r_all)
+    n_all = np.concatenate(parts + [np.array(powers, dtype=np.int64)])
+    p_all = np.concatenate(parts + [np.array(roots, dtype=np.int64)])
+    order = np.argsort(n_all)
+    return LambdaSegment(lo=lo, hi=hi, n=n_all[order],
+                         log_p=np.log(p_all[order].astype(np.float64)))
 
 
-def psi(x, base: PrimeTable, seg_len: int = DEFAULT_SEGMENT_LENGTH) -> float:
+def lambda_segments(lo: int, hi: int, base: PrimeTable,
+                    seg_len: int = DEFAULT_SEGMENT_LENGTH):
+    """lambda_segment(s, e) for each segment (s, e] of (lo, hi], ascending,
+    after one coverage check; no segment outlives its turn."""
+    _check_interval(lo, hi, base)
+    for s, e in _segments(lo, hi, seg_len):
+        yield lambda_segment(s, e, base, seg_len)
+
+
+def psi(x, base: PrimeTable) -> float:
     """Chebyshev psi(x) = sum of Lambda(n) over n <= x.
 
     The one-threshold case of weighted_lambda_sums_at: per-segment sums
@@ -261,36 +251,27 @@ def psi(x, base: PrimeTable, seg_len: int = DEFAULT_SEGMENT_LENGTH) -> float:
     xf = math.floor(x)
     if xf < 1:
         raise DomainError(f"psi requires x >= 1, got {x}")
-    _check_interval(1, xf, base)  # before any int64 conversion
-    return float(weighted_lambda_sums_at([xf], base, seg_len=seg_len)[0])
+    base.check_covers(xf)  # before any int64 conversion
+    return float(weighted_lambda_sums_at([xf], base)[0])
 
 
 def weighted_lambda_sums_at(thresholds, base: PrimeTable, *,
-                            primes_only: bool = False,
                             seg_len: int = DEFAULT_SEGMENT_LENGTH
                             ) -> np.ndarray:
-    """psi(t) (or theta(t) with ``primes_only``) for each threshold,
-    in one segmented pass."""
+    """psi(t) for each threshold, in one segmented pass."""
     ts = np.asarray(thresholds, dtype=np.int64)
     if ts.size == 0:
         return np.zeros(0, dtype=np.float64)
     hi = int(ts.max())
-    out = np.zeros(ts.shape, dtype=np.float64)
     if hi < 2:
-        return out
-    _check_interval(1, hi, base)
-    order = np.sort(np.unique(ts))
+        return np.zeros(ts.shape, dtype=np.float64)
+    order = np.unique(ts)
     vals = np.zeros(order.size, dtype=np.float64)
     running: list[float] = []
-    for s, e in _segments(1, hi, seg_len):
-        seg = lambda_segment(s, e, base, seg_len)
-        logs = seg.log_p if not primes_only else seg.log_p[seg.r == 1]
-        ns = seg.n if not primes_only else seg.n[seg.r == 1]
-        i0, i1 = np.searchsorted(order, [s, e], side="right")
+    for seg in lambda_segments(1, hi, base, seg_len):
+        i0, i1 = np.searchsorted(order, [seg.lo, seg.hi], side="right")
         for i in range(i0, i1):
-            j = np.searchsorted(ns, order[i], side="right")
-            vals[i] = math.fsum(running + [float(np.sum(logs[:j]))])
-        running.append(float(np.sum(logs)))
-    lookup = dict(zip(order.tolist(), vals.tolist()))
-    return np.array([lookup[int(t)] if t >= 2 else 0.0 for t in ts],
-                    dtype=np.float64)
+            j = np.searchsorted(seg.n, order[i], side="right")
+            vals[i] = math.fsum(running + [float(np.sum(seg.log_p[:j]))])
+        running.append(float(np.sum(seg.log_p)))
+    return vals[np.searchsorted(order, ts)]

@@ -40,6 +40,9 @@ ZEROS_ENV_VAR = "PPC_ZEROS_PATH"
 
 CSV_SCHEMA_VERSION = "2"
 
+# the largest x (x_max for sweep, h for interval) a command sieves
+DEFAULT_SIEVE_CEILING = 10 ** 10
+
 
 @dataclass
 class RunManifest:
@@ -58,7 +61,7 @@ class RunManifest:
 class Settings:
     """Effective configuration: the --config file's values and --format."""
 
-    sieve_ceiling: int = counting.DEFAULT_COUNT_CEILING
+    sieve_ceiling: int = DEFAULT_SIEVE_CEILING
     zeros_path: str = ""
     fmt: str = "table"
 
@@ -136,6 +139,13 @@ def _write_manifest_sidecar(output: str, manifest: RunManifest) -> None:
         f.write("\n")
 
 
+def _check_ceiling(name: str, n, settings: Settings) -> None:
+    """CapacityError, before any sieving, when n passes sieve_ceiling."""
+    if n > settings.sieve_ceiling:
+        raise CapacityError(f"{name} = {n} beyond sieve ceiling "
+                            f"{settings.sieve_ceiling}")
+
+
 def _base_for(x: int) -> arith.PrimeTable:
     """The prime table every command sieves with: it certifies all
     primes up to x."""
@@ -145,14 +155,14 @@ def _base_for(x: int) -> arith.PrimeTable:
 def cmd_count(args, settings: Settings) -> int:
     t0 = time.time()
     x, k = args.x, args.k
+    _check_ceiling("x", x, settings)
     base = _base_for(x)
     rows = []
     methods = {"exact": ("exact",), "oracle": ("oracle",),
                "both": ("exact", "oracle")}[args.method]
     for method in methods:
         if method == "exact":
-            r = counting.count_exact(x, k, base,
-                                     ceiling=settings.sieve_ceiling)
+            r = counting.count_exact(x, k, base)
         else:
             r = counting.annotate_count(x, k, counting.count_oracle(x, k),
                                         method="kfree-oracle")
@@ -171,14 +181,14 @@ def cmd_sweep(args, settings: Settings) -> int:
     t0 = time.time()
     if args.points < 2:
         raise DomainError("sweep needs points >= 2")
+    _check_ceiling("x_max", args.x_max, settings)
     grid = np.unique(np.logspace(math.log10(args.x_min),
                                  math.log10(args.x_max),
                                  args.points).astype(np.int64))
     base = _base_for(int(grid[-1]))
     rows = []
     for x in grid.tolist():
-        r = counting.count_exact(int(x), args.k, base,
-                                 ceiling=settings.sieve_ceiling)
+        r = counting.count_exact(int(x), args.k, base)
         rows.append({"x": r.x, "k": r.k, "count": r.count,
                      "main_term": r.main_term,
                      "error": r.count - r.main_term,
@@ -205,6 +215,7 @@ def cmd_sweep(args, settings: Settings) -> int:
 
 def cmd_cstar(args, settings: Settings) -> int:
     t0 = time.time()
+    _check_ceiling("x", args.x, settings)
     base = _base_for(args.x)
     r = counting.cstar(args.x, args.k, base)
     corr = counting.prime_power_correction(args.x, args.k, base)
@@ -221,6 +232,7 @@ def cmd_cstar(args, settings: Settings) -> int:
 
 def cmd_explicit(args, settings: Settings) -> int:
     t0 = time.time()
+    _check_ceiling("x", args.x, settings)
     table = _zero_table(args, settings)
     base = _base_for(int(args.x))
     exact = explicit.psi1_exact(args.x, base)
@@ -248,6 +260,7 @@ def cmd_interval(args, settings: Settings) -> int:
         raise DomainError("interval needs --h >= 1 or --f > 1")
     else:
         h, delta = args.h, max(2, args.h // 10)
+    _check_ceiling("h", h, settings)
     # sized for S_Delta, which reads prime powers up to x + h + delta
     base = _base_for(x + h + delta)
     count = counting.count_interval(x, h, k, base)

@@ -20,8 +20,6 @@ from .arith import PrimeTable, iroot
 from .errors import CapacityError, DomainError
 from .explicit import s_delta_direct
 
-DEFAULT_COUNT_CEILING = 10 ** 10
-
 # Beyond k = 64 only m = 1 contributes for any feasible x; capping
 # avoids needless giant-power arithmetic.
 K_CAP = 64
@@ -77,21 +75,18 @@ def annotate_count(x: int, k: int, count: int,
                        method=method)
 
 
-def count_exact(x: int, k: int, base: PrimeTable, *,
-                ceiling: int = DEFAULT_COUNT_CEILING,
-                seg_len: int = arith.DEFAULT_SEGMENT_LENGTH) -> CountResult:
+def count_exact(x: int, k: int, base: PrimeTable) -> CountResult:
     """C_k(x) as sum over m <= x^(1/k) of pi(x // m^k).
 
     The pi ladder is resolved in one growing segmented-sieve pass, so
     the dominant m = 1 term shares work with all smaller thresholds.
     """
     k = _check_xk(x, k)
-    if x > ceiling:
-        raise CapacityError(f"x = {x} beyond count ceiling {ceiling}")
+    base.check_covers(x)  # before the x^(1/k) thresholds are built
     mmax = iroot(x, k)
     # m descending <=> thresholds ascending
     thresholds = [x // m ** k for m in range(mmax, 0, -1)]
-    counts = arith.prime_counts_at(thresholds, base, seg_len=seg_len)
+    counts = arith.prime_counts_at(thresholds, base)
     return annotate_count(x, k, int(np.sum(counts)))
 
 
@@ -152,6 +147,7 @@ def count_oracle(x: int, k: int) -> int:
 def cstar(x: int, k: int, base: PrimeTable) -> CstarResult:
     """C*_k(x) = sum of Lambda(n) over n m^k <= x, via psi(x // m^k)."""
     k = _check_xk(x, k)
+    base.check_covers(x)  # before the x^(1/k) thresholds are built
     mmax = iroot(x, k)
     thresholds = [x // m ** k for m in range(mmax, 0, -1)]
     psis = arith.weighted_lambda_sums_at(thresholds, base)

@@ -10,6 +10,9 @@ integrated Chebyshev function, so
 with coefficients (+, -, -, +); the direct-sum equality tests pin this
 down numerically.
 
+psi_1 and the psi_1 route to S_Delta walk the prime powers once and
+stream every term into one fsum, so memory stays at one segment.
+
 Zero sums pair each rho = 1/2 + i*gamma with its conjugate (computed as
 2*Re in real arithmetic) and accumulate with correctly rounded (fsum)
 summation, so small terms are never swamped.
@@ -19,10 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .arith import DEFAULT_SEGMENT_LENGTH, PrimeTable, _segments, lambda_segment
+from .arith import LambdaSegment, PrimeTable, lambda_segment, lambda_segments
 from .errors import CoverageError, DomainError
 from .zeros import ZeroTable, inv_gamma_sq_beyond
 
@@ -69,10 +73,8 @@ def _weights_vec(w: TrapezoidWeight, ns: np.ndarray) -> np.ndarray:
 _SPLIT = 134217729.0
 
 
-def _psi1_term_arrays(x: float, base: PrimeTable,
-                      seg_len: int = DEFAULT_SEGMENT_LENGTH
-                      ) -> list[np.ndarray]:
-    """Float arrays whose exact real sum equals sum_{n<=x} (x-n)*Lambda(n).
+def _psi1_term_arrays(x: float, seg: LambdaSegment) -> list[np.ndarray]:
+    """Float arrays whose exact real sum is sum_{n<=x in seg} (x-n)*Lambda(n).
 
     Each product (x - n) * log p is expanded with a branchless two-sum
     (for the subtraction) and a Dekker two-product, so no information is
@@ -80,40 +82,41 @@ def _psi1_term_arrays(x: float, base: PrimeTable,
     second difference in s_delta_via_psi1, where psi_1 values near x^2/2
     cancel down to order h and naive rounding would dominate the result.
     """
-    xf = math.floor(x)
-    out: list[np.ndarray] = []
-    for s, e in _segments(1, xf, seg_len):
-        seg = lambda_segment(s, e, base, seg_len)
-        n = seg.n.astype(np.float64)
-        lp = seg.log_p
-        d = x - n
-        # Knuth two-sum: d + derr == x - n exactly
-        bv = d - x
-        av = d - bv
-        derr = (x - av) + (-n - bv)
-        p = d * lp
-        # Dekker two-product: p + perr == d * lp exactly
-        a1 = d * _SPLIT
-        ah = a1 - (a1 - d)
-        al = d - ah
-        b1 = lp * _SPLIT
-        bh = b1 - (b1 - lp)
-        bl = lp - bh
-        perr = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-        out.extend((p, perr, derr * lp))
-    return out
+    j = np.searchsorted(seg.n, math.floor(x), side="right")
+    n = seg.n[:j].astype(np.float64)
+    lp = seg.log_p[:j]
+    d = x - n
+    # Knuth two-sum: d + derr == x - n exactly
+    bv = d - x
+    av = d - bv
+    derr = (x - av) + (-n - bv)
+    p = d * lp
+    # Dekker two-product: p + perr == d * lp exactly
+    a1 = d * _SPLIT
+    ah = a1 - (a1 - d)
+    al = d - ah
+    b1 = lp * _SPLIT
+    bh = b1 - (b1 - lp)
+    bl = lp - bh
+    perr = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return [p, perr, derr * lp]
 
 
-def psi1_exact(x: float, base: PrimeTable,
-               seg_len: int = DEFAULT_SEGMENT_LENGTH) -> float:
+def _psi1_sum(signed, base: PrimeTable) -> float:
+    """The sum of sign * psi_1(t) over (sign, t) pairs, correctly rounded:
+    one walk over (1, floor(max t)] feeds every signed term to one fsum."""
+    hi = max(math.floor(t) for _, t in signed)
+    return math.fsum(chain.from_iterable(
+        (sign * a).tolist() for seg in lambda_segments(1, hi, base)
+        for sign, t in signed for a in _psi1_term_arrays(t, seg)))
+
+
+def psi1_exact(x: float, base: PrimeTable) -> float:
     """psi_1(x) = sum over n <= x of (x - n) * Lambda(n), correctly
-    rounded with respect to the table's log p values."""
+    rounded with respect to the table's log p values, in one walk."""
     if x < 1:
         raise DomainError(f"psi1_exact requires x >= 1, got {x}")
-    if math.floor(x) < 2:
-        return 0.0
-    arrays = _psi1_term_arrays(x, base, seg_len)
-    return math.fsum(v for a in arrays for v in a.tolist())
+    return _psi1_sum([(1.0, x)], base)
 
 
 def s_delta_direct(x: float, h: float, delta: float,
@@ -133,18 +136,14 @@ def s_delta_via_psi1(x: float, h: float, delta: float,
 
         (psi1(x+h+D) - psi1(x+h) - psi1(x) + psi1(x-D)) / D.
 
-    Must agree with s_delta_direct to rounding. The four psi_1 sums are
-    combined term-exactly (one fsum over all signed compensated terms),
-    so the cancellation of the x^2/2-sized main terms costs no
-    precision.
+    Must agree with s_delta_direct to rounding. The four psi_1 sums
+    share one walk over the prime powers and are combined term-exactly
+    (one fsum over all signed compensated terms), so the cancellation of
+    the x^2/2-sized main terms costs no precision.
     """
     TrapezoidWeight(x=x, h=h, delta=delta)
-    signed: list[np.ndarray] = []
-    for sign, t in ((1.0, x + h + delta), (-1.0, x + h),
-                    (-1.0, x), (1.0, x - delta)):
-        if math.floor(t) >= 2:
-            signed.extend(sign * a for a in _psi1_term_arrays(t, base))
-    return math.fsum(v for a in signed for v in a.tolist()) / delta
+    return _psi1_sum(((1.0, x + h + delta), (-1.0, x + h),
+                      (-1.0, x), (1.0, x - delta)), base) / delta
 
 
 def _s_rho_sums(gammas: np.ndarray, x: float, h: float,

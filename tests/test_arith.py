@@ -20,13 +20,6 @@ class TestSievePrimes:
         got = arith.sieve_primes(1000).primes.tolist()
         assert got == trial_division_primes(1000)
 
-    def test_count_upto(self, base_1e4):
-        assert base_1e4.count_upto(10 ** 4) == 1229
-        assert base_1e4.count_upto(2) == 1
-        assert base_1e4.count_upto(1) == 0
-        with pytest.raises(CoverageError):
-            base_1e4.count_upto(10 ** 4 + 1)
-
     def test_log_cumsum(self, base100):
         cs = base100.log_cumsum
         assert cs[0] == 0.0 and len(cs) == 26
@@ -34,11 +27,18 @@ class TestSievePrimes:
         assert cs[-1] == pytest.approx(want, rel=1e-13)
         assert base100.log_cumsum is cs  # computed once per table
 
-    def test_domain_and_budget(self):
+    def test_domain_and_budget(self, monkeypatch):
         with pytest.raises(DomainError):
             arith.sieve_primes(1)
+        # refused before the sieve array is allocated
+        monkeypatch.setattr(arith.np, "zeros", None)
         with pytest.raises(CapacityError):
-            arith.sieve_primes(10 ** 6, budget=10 ** 5)
+            arith.sieve_primes(arith.DEFAULT_SIEVE_BUDGET + 1)
+
+    def test_check_covers(self, base100):
+        base100.check_covers(100 ** 2)
+        with pytest.raises(CoverageError):
+            base100.check_covers(100 ** 2 + 1)
 
 
 class TestIsPrime:
@@ -138,8 +138,8 @@ class TestLambdaSegment:
     def test_first_decade(self, base100):
         seg = arith.lambda_segment(1, 10, base100)
         assert seg.n.tolist() == [2, 3, 4, 5, 7, 8, 9]
-        assert seg.p.tolist() == [2, 3, 2, 5, 7, 2, 3]
-        assert seg.r.tolist() == [1, 1, 2, 1, 1, 3, 2]
+        assert seg.log_p.tolist() == [math.log(p)
+                                      for p in (2, 3, 2, 5, 7, 2, 3)]
 
     def test_against_naive_lambda(self, base_1e4, lambda_upto_1e4):
         seg = arith.lambda_segment(0, 10 ** 4, base_1e4, seg_len=999)
@@ -151,7 +151,18 @@ class TestLambdaSegment:
         a = arith.lambda_segment(50, 5000, base_1e4, seg_len=64)
         b = arith.lambda_segment(50, 5000, base_1e4, seg_len=10 ** 6)
         assert a.n.tolist() == b.n.tolist()
-        assert a.r.tolist() == b.r.tolist()
+        assert a.log_p.tolist() == b.log_p.tolist()
+
+    def test_segments_walk(self, base_1e4):
+        segs = list(arith.lambda_segments(50, 5000, base_1e4, seg_len=999))
+        assert [(s.lo, s.hi) for s in segs] == [
+            (50, 1049), (1049, 2048), (2048, 3047), (3047, 4046),
+            (4046, 5000)]
+        whole = arith.lambda_segment(50, 5000, base_1e4)
+        assert np.concatenate([s.n for s in segs]).tolist() == \
+            whole.n.tolist()
+        with pytest.raises(CoverageError):
+            next(arith.lambda_segments(0, 10 ** 8 + 1, base_1e4))
 
 
 class TestPsi:
@@ -183,9 +194,3 @@ class TestWeightedLambdaSumsAt:
         ts = [1, 10, 100, 100, 9999]
         got = arith.weighted_lambda_sums_at(ts, base_1e4, seg_len=777)
         assert np.allclose(got, [cum[t] for t in ts], rtol=1e-12)
-
-    def test_theta_ladder(self, base_1e4):
-        got = arith.weighted_lambda_sums_at([100], base_1e4,
-                                            primes_only=True)
-        want = math.fsum(math.log(p) for p in trial_division_primes(100))
-        assert got[0] == pytest.approx(want, rel=1e-13)

@@ -120,10 +120,29 @@ class TestConfig:
     def test_capacity_from_config(self, capsys, tmp_path):
         cfg = tmp_path / "ppc.cfg"
         cfg.write_text("# limits\nsieve_ceiling = 1e3\n")
-        rc, _, err = run(capsys, "--config", str(cfg),
-                         "count", "--x", "1e6", "--k", "2")
+        out_csv = tmp_path / "s.csv"
+        for argv in (["count", "--x", "1e6", "--k", "2"],
+                     ["sweep", "--k", "2", "--x-min", "10", "--x-max", "1e6",
+                      "--output", str(out_csv)],
+                     ["cstar", "--x", "1e6", "--k", "2"],
+                     ["explicit", "--x", "1e6"],
+                     ["interval", "--x", "1e6", "--h", "1e4", "--k", "2"]):
+            rc, out, err = run(capsys, "--config", str(cfg), *argv)
+            assert rc == cli.EXIT_CAPACITY, argv
+            assert out == "" and "ceiling" in err, argv
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["cstar", "--x", "1e13", "--k", "2"],
+        ["explicit", "--x", "1e12"],
+        ["interval", "--x", "1e12", "--h", "1e12", "--k", "2"],
+    ])
+    def test_default_ceiling(self, capsys, argv, monkeypatch):
+        # refused before any prime table is sieved
+        monkeypatch.setattr(cli.arith, "sieve_primes", None)
+        rc, _, err = run(capsys, *argv)
         assert rc == cli.EXIT_CAPACITY
-        assert "ceiling" in err
+        assert f"sieve ceiling {cli.DEFAULT_SIEVE_CEILING}" in err
 
     def test_config_zeros_path(self, capsys, tmp_path, zeros100):
         zp = tmp_path / "z.txt"

@@ -1,11 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ppcount import arith, counting
 from ppcount.analytic import li, zeta_int
-from ppcount.errors import CapacityError, DomainError
+from ppcount.errors import CapacityError, CoverageError, DomainError
 
 from conftest import trial_division_primes
 
@@ -63,7 +64,8 @@ class TestCountExact:
         for x in range(1, 400):
             c = counting.count_exact(x, 2, base_1e4).count
             assert c >= prev
-            assert c >= base_1e4.count_upto(x)  # m = 1 alone gives pi(x)
+            # m = 1 alone gives pi(x)
+            assert c >= np.searchsorted(base_1e4.primes, x, side="right")
             prev = c
         # larger k never counts more (each n = p m^k is also counted
         # against a weaker constraint only if its k-free part allows it)
@@ -85,8 +87,11 @@ class TestCountExact:
             counting.count_exact(100, 1, base100)
         with pytest.raises(DomainError):
             counting.count_exact(0, 2, base100)
-        with pytest.raises(CapacityError):
-            counting.count_exact(10 ** 6, 2, base100, ceiling=10 ** 5)
+
+    def test_coverage_checked_first(self, base100):
+        # x^(1/2) = 2^32 thresholds would be built if this came later
+        with pytest.raises(CoverageError):
+            counting.count_exact(2 ** 64, 2, base100)
 
 
 class TestCountOracle:
@@ -118,6 +123,10 @@ class TestCstar:
         assert r.value == 0.0
         r = counting.cstar(1000, 2, sieve := arith.sieve_primes(1000))
         assert r.main_term == pytest.approx(zeta_int(2) * 1000, rel=1e-12)
+
+    def test_coverage_checked_first(self, base100):
+        with pytest.raises(CoverageError):
+            counting.cstar(2 ** 64, 2, base100)
 
 
 class TestPrimePowerCorrection:

@@ -87,6 +87,22 @@ class TestPsi1Exact:
         with pytest.raises(DomainError):
             explicit.psi1_exact(0.5, base100)
 
+    def test_across_segments_against_dense(self):
+        # (1, x] spans four 2^20 segments; the reference sets
+        # Lambda(p^r) = log p densely from a complete prime table
+        x = 3 * 2 ** 20 + 0.5
+        table = arith.sieve_primes(math.floor(x))
+        lam = np.zeros(math.floor(x) + 1)
+        for p in table.primes.tolist():
+            pr = p
+            while pr <= x:
+                lam[pr] = math.log(p)
+                pr *= p
+        n = np.nonzero(lam)[0]
+        want = math.fsum(((x - n) * lam[n]).tolist())
+        got = explicit.psi1_exact(x, arith.sieve_primes(2000))
+        assert got == pytest.approx(want, rel=1e-12)
+
 
 class TestSDelta:
     def test_direct_against_naive(self, base_1e4):
@@ -98,11 +114,27 @@ class TestSDelta:
             want, rel=1e-12)
 
     def test_psi1_route_matches_direct(self, base_1e4):
+        # the last three supports straddle the segment boundaries near
+        # 2^20 and 3*2^20
         for x, h, d in ((1000.0, 100.0, 10.0), (5000.0, 2500.0, 2500.0),
-                        (300.5, 30.25, 2.0), (10 ** 5 + 0.5, 10.0, 3.0)):
+                        (300.5, 30.25, 2.0), (10 ** 5 + 0.5, 10.0, 3.0),
+                        (2.0 ** 20 - 1000.5, 3000.25, 500.0),
+                        (3 * 2.0 ** 20 - 10.0, 50.0, 20.5),
+                        (1.5 * 2 ** 20, 1.5 * 2 ** 20 - 1.0, 4000.0)):
             a = explicit.s_delta_direct(x, h, d, base_1e4)
             b = explicit.s_delta_via_psi1(x, h, d, base_1e4)
             assert b == pytest.approx(a, rel=1e-10, abs=1e-9)
+
+    def test_psi1_route_walks_once(self, base_1e4, monkeypatch):
+        calls, real = [], arith.lambda_segment
+
+        def counting_segment(*args, **kwargs):
+            calls.append(args[:2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(arith, "lambda_segment", counting_segment)
+        explicit.s_delta_via_psi1(10 ** 5 + 0.5, 5000.0, 300.0, base_1e4)
+        assert calls == [(1, 10 ** 5 + 5300)]
 
     def test_dominates_interval_psi(self, base_1e4):
         # weight is 1 on (x, x+h], so S_Delta >= psi(x+h) - psi(x)
