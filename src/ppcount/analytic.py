@@ -1,6 +1,5 @@
 """Analytic main-term ingredients: li(x), zeta(k), the per-m
-short-interval main term, the error envelope delta(x), and the
-error-exponent table A(k).
+short-interval main term and the error-exponent table A(k).
 
 li is the principal-value logarithmic integral from 0 (so li(2) is
 about 1.045, not 0); that convention is recorded in all CLI output.
@@ -21,21 +20,6 @@ LI_CONVENTION = "principal-value from 0"
 
 # Euler-Mascheroni, to double precision
 _EULER_GAMMA = 0.5772156649015328606
-
-# Default diagnostic constant for the unconditional error envelope.
-# It is a free knob, never asserted against.
-DEFAULT_ENVELOPE_C = 0.2
-
-
-@dataclass(frozen=True)
-class ErrorEnvelope:
-    """Configurable constant for the envelope c*(log x)^{3/5}*(log log x)^{-1/5}."""
-
-    c: float = DEFAULT_ENVELOPE_C
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise DomainError(f"envelope constant must be > 0, got {self.c}")
 
 
 @dataclass(frozen=True)
@@ -182,11 +166,3 @@ def zeta_int(k: int) -> float:
     tail = M ** (1 - k) / (k - 1) - 0.5 * M ** (-k) + k * M ** (-k - 1) / 12.0
     return s + tail
 
-
-def delta_envelope(x: float, env: ErrorEnvelope = ErrorEnvelope()) -> float:
-    """c * (log x)^{3/5} * (log log x)^{-1/5}, the unconditional error
-    exponent envelope; requires x >= 16 so log log x is positive."""
-    if x < 16:
-        raise DomainError(f"delta_envelope requires x >= 16, got {x}")
-    lx = math.log(x)
-    return env.c * lx ** 0.6 * math.log(lx) ** -0.2

@@ -181,6 +181,9 @@ def cmd_sweep(args, settings: Settings) -> int:
     t0 = time.time()
     if args.points < 2:
         raise DomainError("sweep needs points >= 2")
+    if not 1 <= args.x_min <= args.x_max:
+        raise DomainError("sweep needs 1 <= x_min <= x_max, got "
+                          f"x_min = {args.x_min}, x_max = {args.x_max}")
     _check_ceiling("x_max", args.x_max, settings)
     grid = np.unique(np.logspace(math.log10(args.x_min),
                                  math.log10(args.x_max),

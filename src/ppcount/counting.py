@@ -90,53 +90,28 @@ def count_exact(x: int, k: int, base: PrimeTable) -> CountResult:
     return annotate_count(x, k, int(np.sum(counts)))
 
 
-def smallest_factor_sieve(x: int) -> np.ndarray:
-    """spf[n] = smallest prime factor of n, for 0 <= n <= x."""
-    spf = np.zeros(x + 1, dtype=np.int64)
-    for p in range(2, x + 1):
-        if spf[p] == 0:
-            view = spf[p:: p]
-            view[view == 0] = p
-    return spf
-
-
 def count_oracle_prefix(x: int, k: int) -> np.ndarray:
     """Cumulative C_k(t) for t = 0..x by per-n k-free classification.
 
-    Independent of the pi-summation route: factors every n with a
-    smallest-prime-factor sieve and tests whether the k-free part is a
-    prime.
+    Independent of the pi-summation route: n = p * m^k exactly when
+    the k-free part of n (n with p^k divided out once per multiple of
+    p^k, p^2k, ...) is prime, looked up in the oracle's own sieve.
     """
     k = _check_xk(x, k)
     if x > ORACLE_CEILING:
         raise CapacityError(
             f"oracle route capped at {ORACLE_CEILING}, got x = {x}")
-    spf_list = smallest_factor_sieve(x).tolist()
-    # n = p * m^k exactly when the k-free part is a single prime to the
-    # first power: every exponent e has e mod k == 0 except one with
-    # e mod k == 1
-    out = np.zeros(x + 1, dtype=np.int64)
-    for n0 in range(2, x + 1):
-        n = n0
-        q_primes = 0
-        ok = True
-        while n > 1:
-            p = spf_list[n]
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            rem = e % k
-            if rem == 1:
-                q_primes += 1
-                if q_primes > 1:
-                    ok = False
-                    break
-            elif rem != 0:
-                ok = False
-                break
-        out[n0] = 1 if (ok and q_primes == 1) else 0
-    return np.cumsum(out)
+    prime = np.ones(x + 1, dtype=bool)
+    prime[:2] = False
+    kfree = np.arange(x + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(x) + 1):
+        if prime[p]:
+            prime[p * p:: p] = False
+            q = pk = p ** k
+            while q <= x:
+                kfree[q:: q] //= pk
+                q *= pk
+    return np.cumsum(prime[kfree], dtype=np.int64)
 
 
 def count_oracle(x: int, k: int) -> int:
@@ -157,15 +132,6 @@ def cstar(x: int, k: int, base: PrimeTable) -> CstarResult:
                        normalized_error=_normalized(value - main, x, k))
 
 
-def _theta_from_table(y: int, base: PrimeTable) -> float:
-    """theta(y) = sum of log p over p <= y, from the base table."""
-    if y > base.limit:
-        raise CapacityError(
-            f"theta({y}) needs primes beyond base limit {base.limit}")
-    j = int(np.searchsorted(base.primes, y, side="right"))
-    return float(base.log_cumsum[j])
-
-
 @dataclass(frozen=True)
 class PrimePowerCorrection:
     """The higher-prime-power contribution sum_{p^r m^k <= x, r >= 2}
@@ -180,17 +146,16 @@ class PrimePowerCorrection:
 
 def prime_power_correction(x: int, k: int,
                            base: PrimeTable) -> PrimePowerCorrection:
+    """Each proper prime power p^r <= x (r >= 2) contributes log p once
+    per m with m^k <= x // p^r."""
     k = _check_xk(x, k)
-    parts = []
-    for m in range(1, iroot(x, k) + 1):
-        t = x // m ** k
-        r = 2
-        while True:
-            y = iroot(t, r)
-            if y < 2:
-                break
-            parts.append(_theta_from_table(y, base))
-            r += 1
+    base.check_covers(x)  # before the int64 arrays are built
+    mk = np.arange(1, iroot(x, k) + 1, dtype=np.int64) ** k
+    ps, parts = base.primes, []
+    for r in range(2, x.bit_length()):  # 2^r <= x
+        ps = ps[: np.searchsorted(ps, iroot(x, r), side="right")]
+        m_count = np.searchsorted(mk, x // ps ** r, side="right")
+        parts.extend((np.log(ps.astype(np.float64)) * m_count).tolist())
     value = math.fsum(parts)
     if x >= 2:
         scale = math.sqrt(x) * (math.log(x) if k == 2 else 1.0)

@@ -10,8 +10,9 @@ integrated Chebyshev function, so
 with coefficients (+, -, -, +); the direct-sum equality tests pin this
 down numerically.
 
-psi_1 and the psi_1 route to S_Delta walk the prime powers once and
-stream every term into one fsum, so memory stays at one segment.
+psi_1 and both sieve routes to S_Delta walk the prime powers once,
+one segment at a time, and fsum what they stream, so memory stays at
+one segment.
 
 Zero sums pair each rho = 1/2 + i*gamma with its conjugate (computed as
 2*Re in real arithmetic) and accumulate with correctly rounded (fsum)
@@ -26,7 +27,7 @@ from itertools import chain
 
 import numpy as np
 
-from .arith import LambdaSegment, PrimeTable, lambda_segment, lambda_segments
+from .arith import LambdaSegment, PrimeTable, lambda_segments
 from .errors import CoverageError, DomainError
 from .zeros import ZeroTable, inv_gamma_sq_beyond
 
@@ -122,12 +123,13 @@ def psi1_exact(x: float, base: PrimeTable) -> float:
 def s_delta_direct(x: float, h: float, delta: float,
                    base: PrimeTable) -> float:
     """S_Delta(x, h) = sum of Lambda(n) * w_{x,h,delta}(n) by direct
-    enumeration of prime powers in the support."""
+    enumeration of prime powers in the support, one segment at a time."""
     w = TrapezoidWeight(x=x, h=h, delta=delta)
     lo = max(0, math.floor(x - delta))
     hi = math.floor(x + h + delta)
-    seg = lambda_segment(lo, hi, base)
-    return float(np.sum(_weights_vec(w, seg.n.astype(np.float64)) * seg.log_p))
+    return math.fsum(
+        float(np.sum(_weights_vec(w, seg.n.astype(np.float64)) * seg.log_p))
+        for seg in lambda_segments(lo, hi, base))
 
 
 def s_delta_via_psi1(x: float, h: float, delta: float,

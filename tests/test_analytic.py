@@ -135,26 +135,3 @@ class TestExponents:
     def test_domain(self):
         with pytest.raises(DomainError):
             analytic.exponents(1)
-
-
-class TestDeltaEnvelope:
-    def test_formula(self):
-        x = math.exp(math.exp(2.0))  # log log x = 2 exactly
-        want = 0.2 * math.exp(2.0 * 0.6) * 2.0 ** -0.2
-        assert analytic.delta_envelope(x) == pytest.approx(want, rel=1e-12)
-
-    def test_monotone(self):
-        vals = [analytic.delta_envelope(x)
-                for x in (16, 100, 1e4, 1e8, 1e16, 1e32)]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-
-    def test_constant_scales(self):
-        env = analytic.ErrorEnvelope(c=1.0)
-        assert analytic.delta_envelope(1e6, env) == pytest.approx(
-            5 * analytic.delta_envelope(1e6), rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            analytic.delta_envelope(15.9)
-        with pytest.raises(DomainError):
-            analytic.ErrorEnvelope(c=0.0)

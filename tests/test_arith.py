@@ -20,13 +20,6 @@ class TestSievePrimes:
         got = arith.sieve_primes(1000).primes.tolist()
         assert got == trial_division_primes(1000)
 
-    def test_log_cumsum(self, base100):
-        cs = base100.log_cumsum
-        assert cs[0] == 0.0 and len(cs) == 26
-        want = math.fsum(math.log(p) for p in trial_division_primes(100))
-        assert cs[-1] == pytest.approx(want, rel=1e-13)
-        assert base100.log_cumsum is cs  # computed once per table
-
     def test_domain_and_budget(self, monkeypatch):
         with pytest.raises(DomainError):
             arith.sieve_primes(1)
@@ -133,6 +126,10 @@ class TestPrimeCountsAt:
     def test_empty(self, base100):
         assert arith.prime_counts_at([], base100).size == 0
 
+    def test_coverage_checked_before_int64_cast(self, base100):
+        with pytest.raises(CoverageError):
+            arith.prime_counts_at([5, 2 ** 64], base100)
+
 
 class TestLambdaSegment:
     def test_first_decade(self, base100):
@@ -142,16 +139,18 @@ class TestLambdaSegment:
                                       for p in (2, 3, 2, 5, 7, 2, 3)]
 
     def test_against_naive_lambda(self, base_1e4, lambda_upto_1e4):
-        seg = arith.lambda_segment(0, 10 ** 4, base_1e4, seg_len=999)
+        seg = arith.lambda_segment(0, 10 ** 4, base_1e4)
         dense = np.zeros(10 ** 4 + 1)
         dense[seg.n] = seg.log_p
         assert np.allclose(dense, lambda_upto_1e4, atol=1e-12)
 
     def test_segmentation_invariance(self, base_1e4):
-        a = arith.lambda_segment(50, 5000, base_1e4, seg_len=64)
-        b = arith.lambda_segment(50, 5000, base_1e4, seg_len=10 ** 6)
-        assert a.n.tolist() == b.n.tolist()
-        assert a.log_p.tolist() == b.log_p.tolist()
+        segs = list(arith.lambda_segments(50, 5000, base_1e4, seg_len=64))
+        whole = arith.lambda_segment(50, 5000, base_1e4)
+        assert np.concatenate([s.n for s in segs]).tolist() == \
+            whole.n.tolist()
+        assert np.concatenate([s.log_p for s in segs]).tolist() == \
+            whole.log_p.tolist()
 
     def test_segments_walk(self, base_1e4):
         segs = list(arith.lambda_segments(50, 5000, base_1e4, seg_len=999))
@@ -194,3 +193,7 @@ class TestWeightedLambdaSumsAt:
         ts = [1, 10, 100, 100, 9999]
         got = arith.weighted_lambda_sums_at(ts, base_1e4, seg_len=777)
         assert np.allclose(got, [cum[t] for t in ts], rtol=1e-12)
+
+    def test_coverage_checked_before_int64_cast(self, base100):
+        with pytest.raises(CoverageError):
+            arith.weighted_lambda_sums_at([5, 2 ** 64], base100)

@@ -85,6 +85,16 @@ class TestArguments:
         assert e.value.code == cli.EXIT_USAGE
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("x_min, x_max", [("0", "100"), ("500", "100")])
+    def test_bad_sweep_range_is_usage_error(self, capsys, tmp_path,
+                                            x_min, x_max):
+        out_path = tmp_path / "s.csv"
+        rc, out, err = run(capsys, "sweep", "--k", "2", "--x-min", x_min,
+                           "--x-max", x_max, "--output", str(out_path))
+        assert rc == cli.EXIT_USAGE
+        assert out == "" and "x_min <= x_max" in err
+        assert not out_path.exists()
+
     def test_integers_parsed_exactly(self):
         parser = cli.build_parser()
         for text, want in (("1000000000000000001", 10 ** 18 + 1),
@@ -321,7 +331,8 @@ def zero_server(tmp_path, zeros100):
     handler = functools.partial(http.server.SimpleHTTPRequestHandler,
                                 directory=str(tmp_path))
     srv = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread = threading.Thread(target=srv.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{srv.server_address[1]}"
     srv.shutdown()

@@ -95,10 +95,15 @@ class TestCountExact:
 
 
 class TestCountOracle:
-    def test_prefix_is_count_function(self, base_1e4):
-        prefix = counting.count_oracle_prefix(500, 2)
-        for x in (1, 10, 100, 499, 500):
-            assert int(prefix[x]) == brute_count(x, 2)
+    def test_prefix_is_count_function(self):
+        primes = trial_division_primes(2000)
+        for k in (2, 3, 4, 5):
+            hit = np.zeros(2001, dtype=np.int64)
+            for p in primes:
+                for m in range(1, arith.iroot(2000 // p, k) + 1):
+                    hit[p * m ** k] = 1
+            prefix = counting.count_oracle_prefix(2000, k)
+            assert prefix.tolist() == np.cumsum(hit).tolist(), k
 
     def test_capacity(self):
         with pytest.raises(CapacityError):

@@ -136,6 +136,21 @@ class TestSDelta:
         explicit.s_delta_via_psi1(10 ** 5 + 0.5, 5000.0, 300.0, base_1e4)
         assert calls == [(1, 10 ** 5 + 5300)]
 
+    def test_direct_route_sieves_one_segment_at_a_time(self, base_1e4,
+                                                       monkeypatch):
+        widths, real = [], arith.lambda_segment
+
+        def counting_segment(lo, hi, *args, **kwargs):
+            widths.append(hi - lo)
+            return real(lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(arith, "lambda_segment", counting_segment)
+        # support (x - delta, x + h + delta] is just over 3 * 2^20 long
+        x, h, d = 4 * 2.0 ** 20, 3 * 2.0 ** 20, 1000.0
+        explicit.s_delta_direct(x, h, d, base_1e4)
+        assert sum(widths) == 3 * 2 ** 20 + 2000
+        assert max(widths) <= arith.DEFAULT_SEGMENT_LENGTH
+
     def test_dominates_interval_psi(self, base_1e4):
         # weight is 1 on (x, x+h], so S_Delta >= psi(x+h) - psi(x)
         x, h, d = 2000.0, 500.0, 100.0
