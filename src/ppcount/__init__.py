@@ -4,8 +4,8 @@ over tables of Riemann zeta zeros."""
 
 __version__ = "0.1.0"
 
-from .analytic import (ExponentTable, exponents, interval_main_term, li,
-                       li_interval, zeta_int)
+from .analytic import (exponents, interval_main_term, li, li_interval,
+                       zeta_int)
 from .arith import (LambdaSegment, PrimeTable, is_prime, lambda_segment,
                     prime_count_interval, psi, sieve_primes)
 from .counting import (CountResult, CstarResult, PrimePowerCorrection,

@@ -8,7 +8,6 @@ about 1.045, not 0); that convention is recorded in all CLI output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -22,18 +21,12 @@ LI_CONVENTION = "principal-value from 0"
 _EULER_GAMMA = 0.5772156649015328606
 
 
-@dataclass(frozen=True)
-class ExponentTable:
-    """Error exponents for the RH-conditional bounds: A(2)=2, A(k)=1 for k>=3."""
-
-    k: int
-    A: int
-
-
-def exponents(k: int) -> ExponentTable:
+def exponents(k: int) -> int:
+    """Error exponent A(k) of the RH-conditional bounds: A(2) = 2,
+    A(k) = 1 for k >= 3."""
     if k < 2:
         raise DomainError(f"exponents requires k >= 2, got {k}")
-    return ExponentTable(k=k, A=2 if k == 2 else 1)
+    return 2 if k == 2 else 1
 
 
 def li(x: float) -> float:

@@ -3,8 +3,9 @@
 Subcommands: count, sweep, cstar, explicit, interval, zeros-stats,
 fetch-zeros, verify. Output defaults to a human-readable table; --format
 csv or json makes it machine-readable. File-producing commands write a
-JSON manifest sidecar (<output>.manifest.json) and every result payload
-carries the manifest id.
+JSON manifest sidecar (<output>.manifest.json); their CSV rows carry no
+manifest id, which is in the sidecar and in the printed summary line.
+Printed rows carry it as a column (table, csv) or in the manifest (json).
 
 Exit codes: 2 usage, 3 capacity, 4 I/O, 5 network, 6 validation.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -42,6 +42,9 @@ CSV_SCHEMA_VERSION = "2"
 
 # the largest x (x_max for sweep, h for interval) a command sieves
 DEFAULT_SIEVE_CEILING = 10 ** 10
+
+# np.logspace allocates the whole grid before the first count
+MAX_SWEEP_POINTS = 10 ** 4
 
 
 @dataclass
@@ -169,7 +172,7 @@ def cmd_count(args, settings: Settings) -> int:
         rows.append({"x": x, "k": k, "count": r.count,
                      "main_term": r.main_term,
                      "normalized_error": r.normalized_error,
-                     "A": exponents(k).A, "method": r.method})
+                     "A": exponents(k), "method": r.method})
     manifest = RunManifest(command="count",
                            parameters={"x": x, "k": k, "method": args.method},
                            timings_ms={"total": (time.time() - t0) * 1000})
@@ -179,8 +182,9 @@ def cmd_count(args, settings: Settings) -> int:
 
 def cmd_sweep(args, settings: Settings) -> int:
     t0 = time.time()
-    if args.points < 2:
-        raise DomainError("sweep needs points >= 2")
+    if not 2 <= args.points <= MAX_SWEEP_POINTS:
+        raise DomainError(f"sweep needs 2 <= points <= {MAX_SWEEP_POINTS}, "
+                          f"got {args.points}")
     if not 1 <= args.x_min <= args.x_max:
         raise DomainError("sweep needs 1 <= x_min <= x_max, got "
                           f"x_min = {args.x_min}, x_max = {args.x_max}")
@@ -239,15 +243,14 @@ def cmd_explicit(args, settings: Settings) -> int:
     table = _zero_table(args, settings)
     base = _base_for(int(args.x))
     exact = explicit.psi1_exact(args.x, base)
-    value, bound = explicit.psi1_via_zeros(args.x, table,
-                                           include_trivial_tail=args.tail)
+    value, bound = explicit.psi1_via_zeros(args.x, table)
     rows = [{"x": args.x, "psi1_exact": exact, "psi1_via_zeros": value,
              "abs_gap": abs(value - exact),
              "rel_gap": abs(value - exact) / exact if exact else math.inf,
              "remainder_bound": bound, "zeros_used": len(table)}]
     manifest = RunManifest(
         command="explicit",
-        parameters={"x": args.x, "limit": args.limit, "tail": args.tail},
+        parameters={"x": args.x, "limit": args.limit},
         zero_table_source=table.source_label, truncation=len(table),
         timings_ms={"total": (time.time() - t0) * 1000})
     _emit(rows, manifest, settings.fmt)
@@ -264,6 +267,7 @@ def cmd_interval(args, settings: Settings) -> int:
     else:
         h, delta = args.h, max(2, args.h // 10)
     _check_ceiling("h", h, settings)
+    table = _zero_table(args, settings) if args.with_zeros else None
     # sized for S_Delta, which reads prime powers up to x + h + delta
     base = _base_for(x + h + delta)
     count = counting.count_interval(x, h, k, base)
@@ -275,8 +279,7 @@ def cmd_interval(args, settings: Settings) -> int:
         row["delta"] = delta
         row["predicted_scale"] = args.f ** -0.5
     table_src, trunc = "", 0
-    if args.with_zeros:
-        table = _zero_table(args, settings)
+    if table is not None:
         table_src, trunc = table.source_label, len(table)
         d = float(delta)
         row["s_delta_direct"] = explicit.s_delta_direct(float(x), float(h),
@@ -330,19 +333,16 @@ def cmd_fetch_zeros(args, settings: Settings) -> int:
         print(f"error: fetch failed: {e}", file=sys.stderr)
         return EXIT_NETWORK
     try:
-        ordinates = zeros._parse_lines(io.StringIO(body.decode("utf-8")),
-                                       args.url, limit=args.limit)
-        zeros.validate_table(ordinates, args.url)
-        if len(ordinates) == 0:
-            raise IntegrityError("no ordinates in download")
+        table = zeros.parse_table(body.decode("utf-8").splitlines(),
+                                  args.url, limit=args.limit)
     except (TableParseError, IntegrityError, UnicodeDecodeError) as e:
         print(f"error: downloaded table failed validation: {e}",
               file=sys.stderr)
         return EXIT_VALIDATION
     with open(args.output, "w") as f:
-        for v in ordinates:
+        for v in table.ordinates:
             f.write(f"{v:.9f}\n")
-    print(f"wrote {len(ordinates)} ordinates to {args.output}")
+    print(f"wrote {len(table)} ordinates to {args.output}")
     return 0
 
 
@@ -396,8 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--x", type=_float_arg, required=True)
     c.add_argument("--zeros", default=None)
     c.add_argument("--limit", type=_int_arg, default=None)
-    c.add_argument("--tail", action="store_true",
-                   help="include the trivial-zero tail")
     c.set_defaults(fn=cmd_explicit)
 
     c = sub.add_parser("interval", help="short-interval count")

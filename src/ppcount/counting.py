@@ -63,7 +63,7 @@ def _check_xk(x: int, k: int) -> int:
 def _normalized(diff: float, x: int, k: int) -> float:
     if x < 2:
         return 0.0
-    return diff / (math.sqrt(x) * math.log(x) ** exponents(k).A)
+    return diff / (math.sqrt(x) * math.log(x) ** exponents(k))
 
 
 def annotate_count(x: int, k: int, count: int,
@@ -201,7 +201,7 @@ def interval_scaling(x: int, f: float, k: int) -> tuple[int, int]:
     if x < 1 or not f > 1.0:
         raise DomainError("the interval scaling requires x >= 1 and f > 1, "
                           f"got x = {x}, f = {f}")
-    scale = math.sqrt(x) * math.log(x) ** exponents(k).A
+    scale = math.sqrt(x) * math.log(x) ** exponents(k)
     if not math.isfinite(f * scale):
         raise DomainError(f"h = f * x^(1/2) log^A x overflows at f = {f}")
     h = max(2, int(round(f * scale)))

@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from .arith import LambdaSegment, PrimeTable, lambda_segments
-from .errors import CoverageError, DomainError
+from .errors import DomainError
 from .zeros import ZeroTable, inv_gamma_sq_beyond
 
 # zeta'/zeta at 0 and -1; the constant and slope of the explicit formula.
@@ -50,6 +50,13 @@ class TrapezoidWeight:
             raise DomainError(
                 f"need 2 <= delta <= h <= x, got "
                 f"(x={self.x}, h={self.h}, delta={self.delta})")
+
+    @property
+    def ends(self) -> tuple[tuple[float, float], ...]:
+        """The (sign, t) endpoints of the second difference that turns
+        psi_1, or t^(rho+1) / (rho(rho+1)), into the trapezoid sum."""
+        x, h, d = self.x, self.h, self.delta
+        return ((1.0, x + h + d), (-1.0, x + h), (-1.0, x), (1.0, x - d))
 
 
 def weight_eval(w: TrapezoidWeight, n: float) -> float:
@@ -143,14 +150,13 @@ def s_delta_via_psi1(x: float, h: float, delta: float,
     (one fsum over all signed compensated terms), so the cancellation of
     the x^2/2-sized main terms costs no precision.
     """
-    TrapezoidWeight(x=x, h=h, delta=delta)
-    return _psi1_sum(((1.0, x + h + delta), (-1.0, x + h),
-                      (-1.0, x), (1.0, x - delta)), base) / delta
+    w = TrapezoidWeight(x=x, h=h, delta=delta)
+    return _psi1_sum(w.ends, base) / delta
 
 
-def _s_rho_sums(gammas: np.ndarray, x: float, h: float,
-                delta: float) -> np.ndarray:
-    """2*Re S(rho) for each positive ordinate (conjugate pair folded in).
+def _s_rho_sums(gammas: np.ndarray, signed) -> np.ndarray:
+    """2*Re of the sum over (sign, t) pairs of sign * t^(rho+1) /
+    (rho(rho+1)), for each positive ordinate (conjugate pair folded in).
 
     Each endpoint power t^(rho+1) is evaluated as t^1.5 * e^{i g log t}
     with an independently computed phase, so there is no phase drift
@@ -159,8 +165,7 @@ def _s_rho_sums(gammas: np.ndarray, x: float, h: float,
     rho = 0.5 + 1j * gammas
     denom = rho * (rho + 1.0)
     num = np.zeros(len(gammas), dtype=np.complex128)
-    for sign, t in ((1.0, x + h + delta), (-1.0, x + h),
-                    (-1.0, x), (1.0, x - delta)):
+    for sign, t in signed:
         if t <= 0.0:
             continue
         lt = math.log(t)
@@ -172,11 +177,10 @@ def s_rho(gamma: float, x: float, h: float, delta: float) -> complex:
     """S(rho) for a single zero rho = 1/2 + i*gamma."""
     if gamma == 0.0:
         raise DomainError("s_rho requires gamma != 0")
-    TrapezoidWeight(x=x, h=h, delta=delta)
+    w = TrapezoidWeight(x=x, h=h, delta=delta)
     rho = 0.5 + 1j * gamma
     num = 0.0 + 0.0j
-    for sign, t in ((1.0, x + h + delta), (-1.0, x + h),
-                    (-1.0, x), (1.0, x - delta)):
+    for sign, t in w.ends:
         if t > 0.0:
             num += sign * complex(t) ** (rho + 1.0)
     return num / (rho * (rho + 1.0))
@@ -184,7 +188,7 @@ def s_rho(gamma: float, x: float, h: float, delta: float) -> complex:
 
 def trivial_zero_tail(x: float) -> float:
     """Contribution of the trivial zeros: sum over r >= 1 of
-    x^(1-2r) / ((2r)(2r-1)); subtracted from the psi_1 formula."""
+    x^(1-2r) / ((2r)(2r-1)); psi1_via_zeros counts it in its bound."""
     total, r = 0.0, 1
     while True:
         term = x ** (1 - 2 * r) / ((2 * r) * (2 * r - 1))
@@ -194,28 +198,24 @@ def trivial_zero_tail(x: float) -> float:
         r += 1
 
 
-def psi1_via_zeros(x: float, table: ZeroTable,
-                   include_trivial_tail: bool = False
-                   ) -> tuple[float, float]:
+def _zero_tail(t: float, table: ZeroTable) -> float:
+    """t^1.5 times the bound on sum 1/gamma^2 beyond the table, which
+    bounds the sum of |t^(rho+1) / (rho(rho+1))| over the zeros left out."""
+    return t ** 1.5 * inv_gamma_sq_beyond(table.max_ordinate, len(table))
+
+
+def psi1_via_zeros(x: float, table: ZeroTable) -> tuple[float, float]:
     """psi_1(x) from the explicit formula, truncated at the table's end.
 
     Returns (value, remainder_bound); the bound covers the zeros beyond
-    the table via the Riemann-von Mangoldt density.
+    the table via the Riemann-von Mangoldt density, plus the trivial
+    zeros, whose term the value leaves out.
     """
     if x < 2:
         raise DomainError(f"psi1_via_zeros requires x >= 2, got {x}")
-    table._require_nonempty()
-    g = table.ordinates
-    rho = 0.5 + 1j * g
-    terms = 2.0 * np.real(x ** 1.5 * np.exp(1j * (g * math.log(x)))
-                          / (rho * (rho + 1.0)))
-    zsum = math.fsum(terms)
+    zsum = math.fsum(_s_rho_sums(table.ordinates, ((1.0, x),)))
     value = (x * x / 2.0 - zsum - ZETA_LOGDERIV_0 * x + ZETA_LOGDERIV_M1)
-    if include_trivial_tail:
-        value -= trivial_zero_tail(x)
-    bound = 2.0 * x ** 1.5 * inv_gamma_sq_beyond(table.max_ordinate, len(g))
-    if not include_trivial_tail:
-        bound += trivial_zero_tail(x)
+    bound = 2.0 * _zero_tail(x, table) + trivial_zero_tail(x)
     return value, bound
 
 
@@ -223,13 +223,11 @@ def s_delta_via_zeros(x: float, h: float, delta: float,
                       table: ZeroTable) -> tuple[float, float]:
     """Spectral prediction h + delta - (1/delta) * sum S(rho), truncated
     at the table; returns (value, remainder_bound)."""
-    TrapezoidWeight(x=x, h=h, delta=delta)
-    table._require_nonempty()
-    terms = _s_rho_sums(table.ordinates, x, h, delta)
+    w = TrapezoidWeight(x=x, h=h, delta=delta)
+    terms = _s_rho_sums(table.ordinates, w.ends)
     value = h + delta - math.fsum(terms) / delta
-    tail = 8.0 * (x + h + delta) ** 1.5 * inv_gamma_sq_beyond(
-        table.max_ordinate, len(table))
-    bound = tail / delta + 1.0 / (delta * x)
+    bound = (8.0 * _zero_tail(x + h + delta, table) / delta
+             + 1.0 / (delta * x))
     return value, bound
 
 
@@ -252,14 +250,10 @@ class ZeroSumBreakdown:
 
 def zero_sum_breakdown(x: float, h: float, delta: float,
                        table: ZeroTable) -> ZeroSumBreakdown:
-    TrapezoidWeight(x=x, h=h, delta=delta)
-    table._require_nonempty()
-    if x / delta > table.max_ordinate:
-        raise CoverageError(
-            f"need ordinates up to x/delta = {x / delta:.1f}, table ends "
-            f"at {table.max_ordinate:.1f}")
+    w = TrapezoidWeight(x=x, h=h, delta=delta)
+    table.check_covers(x / delta)
     g = table.ordinates
-    terms = _s_rho_sums(g, x, h, delta)
+    terms = _s_rho_sums(g, w.ends)
     i_low = np.searchsorted(g, x / h, side="right")
     i_mid = np.searchsorted(g, x / delta, side="right")
     low = math.fsum(terms[:i_low])
@@ -267,8 +261,7 @@ def zero_sum_breakdown(x: float, h: float, delta: float,
     high = math.fsum(terms[i_mid:])
     sx_lx = math.sqrt(x) * math.log(x)
     bounds = (delta * sx_lx, h * sx_lx, delta * sx_lx)
-    remainder = 8.0 * (x + h + delta) ** 1.5 * inv_gamma_sq_beyond(
-        table.max_ordinate, len(g))
+    remainder = 8.0 * _zero_tail(x + h + delta, table)
     return ZeroSumBreakdown(
         low=complex(low), mid=complex(mid), high=complex(high),
         remainder_bound=remainder,

@@ -28,23 +28,29 @@ RVM_GATE = 2.0
 
 @dataclass(frozen=True)
 class ZeroTable:
-    """Ascending positive ordinates of nontrivial zeta zeros."""
+    """Ascending positive ordinates of nontrivial zeta zeros; never empty."""
 
     ordinates: np.ndarray  # float64, strictly ascending
     source_label: str
+
+    def __post_init__(self):
+        if len(self.ordinates) == 0:
+            raise IntegrityError(
+                f"zero table '{self.source_label}' is empty")
 
     def __len__(self) -> int:
         return len(self.ordinates)
 
     @property
     def max_ordinate(self) -> float:
-        self._require_nonempty()
         return float(self.ordinates[-1])
 
-    def _require_nonempty(self) -> None:
-        if len(self.ordinates) == 0:
-            raise IntegrityError(
-                f"zero table '{self.source_label}' is empty")
+    def check_covers(self, T: float) -> None:
+        """CoverageError unless the table reaches ordinate T."""
+        if T > self.max_ordinate:
+            raise CoverageError(
+                f"ordinates up to {T} needed: zero table "
+                f"'{self.source_label}' ends at {self.max_ordinate}")
 
     def truncate(self, limit: int) -> "ZeroTable":
         return ZeroTable(ordinates=self.ordinates[:limit],
@@ -59,9 +65,8 @@ def rvm_estimate(T: float) -> float:
 
 
 def validate_table(ordinates: np.ndarray, label: str) -> None:
-    """File-integrity gates: ascending, plausible range, RvM drift."""
-    if len(ordinates) == 0:
-        return
+    """File-integrity gates on a nonempty array: ascending, plausible
+    range, RvM drift."""
     if ordinates[0] <= 14.0:
         raise IntegrityError(
             f"{label}: first ordinate {ordinates[0]} below gamma_1 ~ 14.13")
@@ -82,7 +87,9 @@ def validate_table(ordinates: np.ndarray, label: str) -> None:
             f"near gamma = {g[i]:.3f}; table corrupt or incomplete")
 
 
-def _parse_lines(lines, path: str, limit=None) -> np.ndarray:
+def parse_table(lines, label: str, limit: int | None = None) -> ZeroTable:
+    """Parse one ordinate per line (at most ``limit`` of them), apply the
+    integrity gates and wrap the result; an empty table is refused."""
     vals: list[float] = []
     for line_no, raw in enumerate(lines, start=1):
         if limit is not None and len(vals) >= limit:
@@ -93,50 +100,43 @@ def _parse_lines(lines, path: str, limit=None) -> np.ndarray:
         try:
             v = float(s)
         except ValueError:
-            raise TableParseError(path, line_no,
+            raise TableParseError(label, line_no,
                                   f"non-numeric ordinate {s!r}") from None
         if not math.isfinite(v) or v <= 0:
-            raise TableParseError(path, line_no,
+            raise TableParseError(label, line_no,
                                   f"ordinate must be positive, got {s!r}")
         if vals and v <= vals[-1]:
-            raise TableParseError(path, line_no,
+            raise TableParseError(label, line_no,
                                   f"ordinate {v} not above previous {vals[-1]}")
         vals.append(v)
-    return np.array(vals, dtype=np.float64)
+    table = ZeroTable(ordinates=np.array(vals, dtype=np.float64),
+                      source_label=label)
+    validate_table(table.ordinates, label)
+    return table
 
 
 def load_zeros(path, limit: int | None = None) -> ZeroTable:
     """Load a one-ordinate-per-line table, applying the validation gates."""
     with open(path, "r", encoding="utf-8") as f:
-        ordinates = _parse_lines(f, str(path), limit)
-    validate_table(ordinates, str(path))
-    return ZeroTable(ordinates=ordinates, source_label=str(path))
+        return parse_table(f, str(path), limit)
 
 
 def builtin_table(name: str = "10k", limit: int | None = None) -> ZeroTable:
     """Bundled tables: '10k' (first 10500 ordinates) or 'first100'."""
     fname = {"10k": "zeros_10k.txt", "first100": "zeros_first100.txt"}[name]
     text = (resources.files("ppcount") / "data" / fname).read_text("utf-8")
-    ordinates = _parse_lines(text.splitlines(), f"builtin:{fname}", limit)
-    validate_table(ordinates, f"builtin:{fname}")
-    return ZeroTable(ordinates=ordinates, source_label=f"builtin:{fname}")
+    return parse_table(text.splitlines(), f"builtin:{fname}", limit)
 
 
 def count_below(table: ZeroTable, T: float) -> int:
     """N(T) = #{gamma in table : 0 < gamma < T}."""
-    table._require_nonempty()
-    if T > table.max_ordinate:
-        raise CoverageError(
-            f"N({T}) not covered: table ends at {table.max_ordinate}")
+    table.check_covers(T)
     return int(np.searchsorted(table.ordinates, T, side="left"))
 
 
 def sum_inv_gamma(table: ZeroTable, T: float) -> float:
     """Sum of 1/gamma over table ordinates below T."""
-    table._require_nonempty()
-    if T > table.max_ordinate:
-        raise CoverageError(
-            f"sum to {T} not covered: table ends at {table.max_ordinate}")
+    table.check_covers(T)
     k = np.searchsorted(table.ordinates, T, side="left")
     return float(math.fsum(1.0 / table.ordinates[:k][::-1]))
 
@@ -160,7 +160,6 @@ def sum_inv_gamma_sq_tail(table: ZeroTable, T: float) -> tuple[float, float]:
     If T is at or beyond the table's end the in-table part is 0 and the
     whole tail is covered by the analytic bound.
     """
-    table._require_nonempty()
     g = table.ordinates
     k = np.searchsorted(g, T, side="right")
     in_table = float(math.fsum((1.0 / g[k:] ** 2)[::-1]))

@@ -128,9 +128,9 @@ class TestZetaInt:
 
 class TestExponents:
     def test_table(self):
-        assert analytic.exponents(2).A == 2
-        assert analytic.exponents(3).A == 1
-        assert analytic.exponents(7).A == 1
+        assert analytic.exponents(2) == 2
+        assert analytic.exponents(3) == 1
+        assert analytic.exponents(7) == 1
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -95,6 +95,16 @@ class TestArguments:
         assert out == "" and "x_min <= x_max" in err
         assert not out_path.exists()
 
+    def test_too_many_sweep_points_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "s.csv"
+        rc, out, err = run(capsys, "sweep", "--k", "2", "--x-min", "1",
+                           "--x-max", "100", "--points", "1e20",
+                           "--output", str(out_path))
+        assert rc == cli.EXIT_USAGE
+        assert out == "" and "points" in err
+        assert not out_path.exists()
+        assert not (tmp_path / "s.csv.manifest.json").exists()
+
     def test_integers_parsed_exactly(self):
         parser = cli.build_parser()
         for text, want in (("1000000000000000001", 10 ** 18 + 1),
@@ -227,10 +237,21 @@ class TestExplicit:
         assert row["rel_gap"] < 1e-3
         assert row["zeros_used"] >= 10 ** 4
 
-    def test_zero_limit_is_validation_error(self, capsys):
+    def test_zero_limit_is_validation_error(self, capsys, monkeypatch):
+        # the empty table is refused before any sieving or counting
+        calls = []
+        monkeypatch.setattr(cli.arith, "lambda_segment",
+                            lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(cli.counting, "count_interval",
+                            lambda *a, **kw: calls.append(a))
         rc, _, err = run(capsys, "explicit", "--x", "1e4", "--limit", "0")
         assert rc == cli.EXIT_VALIDATION
         assert "empty" in err
+        rc, _, err = run(capsys, "interval", "--x", "1e8", "--h", "1e4",
+                         "--k", "2", "--with-zeros", "--limit", "0")
+        assert rc == cli.EXIT_VALIDATION
+        assert "empty" in err
+        assert calls == []
 
     def test_corrupt_table_is_validation_error(self, capsys, tmp_path):
         zp = tmp_path / "bad.txt"
@@ -328,6 +349,7 @@ def zero_server(tmp_path, zeros100):
     good = "\n".join(f"{g:.9f}" for g in zeros100.ordinates) + "\n"
     (tmp_path / "good.txt").write_text(good)
     (tmp_path / "bad.txt").write_text("21.02\n14.13\n")
+    (tmp_path / "blank.txt").write_text("# no ordinates\n")
     handler = functools.partial(http.server.SimpleHTTPRequestHandler,
                                 directory=str(tmp_path))
     srv = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
@@ -354,6 +376,15 @@ class TestFetchZeros:
                          "--url", zero_server + "/bad.txt",
                          "--output", str(out_path))
         assert rc == cli.EXIT_VALIDATION
+        assert not out_path.exists()
+
+    def test_empty_download_rejected(self, capsys, tmp_path, zero_server):
+        out_path = tmp_path / "fetched.txt"
+        rc, _, err = run(capsys, "fetch-zeros",
+                         "--url", zero_server + "/blank.txt",
+                         "--output", str(out_path))
+        assert rc == cli.EXIT_VALIDATION
+        assert "is empty" in err
         assert not out_path.exists()
 
     def test_fetch_without_requests(self, capsys, tmp_path, zero_server,

@@ -212,7 +212,8 @@ class TestSRho:
         x, h, d = 1000.0, 100.0, 10.0
         g = 21.022039639
         paired = explicit.s_rho(g, x, h, d) + explicit.s_rho(-g, x, h, d)
-        folded = explicit._s_rho_sums(np.array([g]), x, h, d)[0]
+        ends = explicit.TrapezoidWeight(x=x, h=h, delta=d).ends
+        folded = explicit._s_rho_sums(np.array([g]), ends)[0]
         assert paired.imag == pytest.approx(0.0, abs=1e-9)
         assert folded == pytest.approx(paired.real, rel=1e-9)
 
@@ -249,17 +250,17 @@ class TestPsi1ViaZeros:
     def test_gap_within_bound(self, base_1e4, zeros10k):
         x = 500.0
         exact = explicit.psi1_exact(x, base_1e4)
-        val, bound = explicit.psi1_via_zeros(x, zeros10k,
-                                             include_trivial_tail=True)
+        val, bound = explicit.psi1_via_zeros(x, zeros10k)
         assert abs(val - exact) <= bound * 10.0
 
-    def test_tail_flag_shifts_by_tail(self, zeros100):
-        x = 100.0
-        a, _ = explicit.psi1_via_zeros(x, zeros100)
-        b, _ = explicit.psi1_via_zeros(x, zeros100,
-                                       include_trivial_tail=True)
-        assert a - b == pytest.approx(explicit.trivial_zero_tail(x),
-                                      rel=1e-9)
+    def test_per_zero_terms(self, zeros100):
+        # 2*Re x^(rho+1) / (rho(rho+1)) in Python complex arithmetic
+        for x in (10.0, 1e4, 3e7):
+            want = [2.0 * (x ** (rho + 1) / (rho * (rho + 1))).real
+                    for rho in (0.5 + 1j * g
+                                for g in zeros100.ordinates.tolist())]
+            got = explicit._s_rho_sums(zeros100.ordinates, ((1.0, x),))
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_returns_real_float(self, zeros100):
         val, bound = explicit.psi1_via_zeros(50.0, zeros100)
@@ -289,8 +290,9 @@ class TestZeroSumBreakdown:
     def test_partition_sums_to_total(self, zeros10k):
         x, h, d = 1e5, 1e3, 1e2
         bd = explicit.zero_sum_breakdown(x, h, d, zeros10k)
+        ends = explicit.TrapezoidWeight(x=x, h=h, delta=d).ends
         full = math.fsum(
-            explicit._s_rho_sums(zeros10k.ordinates, x, h, d)[::-1])
+            explicit._s_rho_sums(zeros10k.ordinates, ends)[::-1])
         assert abs(bd.total - full) <= 1e-9 * max(abs(full), 1.0)
 
     def test_ratios_bounded(self, zeros10k):

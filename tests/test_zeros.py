@@ -31,6 +31,14 @@ class TestBuiltinTables:
         # gamma_100 = 236.524...
         assert 236.0 < t.max_ordinate < 237.0
 
+    def test_never_empty(self, zeros100):
+        with pytest.raises(IntegrityError, match="empty"):
+            zeros.builtin_table("10k", limit=0)
+        with pytest.raises(IntegrityError, match="empty"):
+            zeros100.truncate(0)
+        with pytest.raises(IntegrityError, match="empty"):
+            zeros.ZeroTable(ordinates=np.array([]), source_label="none")
+
     def test_truncate(self, zeros100):
         t = zeros100.truncate(10)
         assert len(t) == 10
@@ -70,10 +78,8 @@ class TestLoadAndParse:
     def test_empty_table(self, tmp_path):
         p = tmp_path / "empty.txt"
         p.write_text("# nothing\n")
-        t = zeros.load_zeros(p)
-        assert len(t) == 0
-        with pytest.raises(IntegrityError):
-            _ = t.max_ordinate
+        with pytest.raises(IntegrityError, match="empty"):
+            zeros.load_zeros(p)
 
 
 class TestValidationGates:
