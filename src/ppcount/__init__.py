@@ -9,10 +9,9 @@ from .analytic import (exponents, interval_main_term, li, li_interval,
 from .arith import (LambdaSegment, PrimeTable, is_prime, lambda_segment,
                     prime_count_interval, psi, sieve_primes)
 from .counting import (CountResult, CstarResult, PrimePowerCorrection,
-                       Theorem3Report, annotate_count, count_exact,
-                       count_interval, count_oracle, cstar,
-                       interval_deviation, interval_scaling,
-                       prime_power_correction, theorem3_experiment)
+                       annotate_count, count_exact, count_interval,
+                       count_oracle, cstar, interval_deviation,
+                       interval_scaling, prime_power_correction)
 from .errors import (CapacityError, CoverageError, DomainError,
                      IntegrityError, PPCountError, TableParseError)
 from .explicit import (TrapezoidWeight, ZeroSumBreakdown, psi1_exact,

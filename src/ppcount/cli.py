@@ -62,11 +62,13 @@ class RunManifest:
 
 @dataclass
 class Settings:
-    """Effective configuration: the --config file's values and --format."""
+    """Effective configuration: the --config file's values and --format,
+    with the time the run started."""
 
     sieve_ceiling: int = DEFAULT_SIEVE_CEILING
     zeros_path: str = ""
     fmt: str = "table"
+    started: float = field(default_factory=time.time)
 
 
 CONFIG_KEYS = ("sieve_ceiling", "zeros_path")
@@ -106,40 +108,53 @@ def _zero_table(args, settings: Settings) -> zeros.ZeroTable:
     return zeros.builtin_table("10k", limit=limit)
 
 
-def _emit(rows: list[dict], manifest: RunManifest, fmt: str,
-          stream=None) -> None:
-    stream = stream or sys.stdout
-    if fmt == "json":
-        json.dump({"manifest": asdict(manifest), "rows": rows}, stream,
+# what the manifest leaves out of the parsed arguments
+NOT_PARAMETERS = ("cmd", "fn", "format", "config")
+
+
+def _manifest(args, settings: Settings,
+              table: zeros.ZeroTable | None = None) -> RunManifest:
+    """The record of one run: its subcommand, the parsed arguments, the
+    zero table it read, and its wall time so far."""
+    return RunManifest(
+        command=args.cmd,
+        parameters={key: v for key, v in vars(args).items()
+                    if key not in NOT_PARAMETERS},
+        zero_table_source=table.source_label if table is not None else "",
+        truncation=len(table) if table is not None else 0,
+        timings_ms={"total": (time.time() - settings.started) * 1000})
+
+
+def _emit(rows: list[dict], args, settings: Settings,
+          table: zeros.ZeroTable | None = None) -> int:
+    """Print the rows with the run's manifest in settings.fmt; returns
+    the exit code, 0."""
+    manifest = _manifest(args, settings, table)
+    out = sys.stdout
+    if settings.fmt == "json":
+        json.dump({"manifest": asdict(manifest), "rows": rows}, out,
                   indent=2)
-        stream.write("\n")
-        return
+        out.write("\n")
+        return 0
     for row in rows:
         row.setdefault("manifest_id", manifest.manifest_id)
     cols = list(rows[0].keys()) if rows else []
-    if fmt == "csv":
-        w = csv.DictWriter(stream, fieldnames=cols)
+    if settings.fmt == "csv":
+        w = csv.DictWriter(out, fieldnames=cols)
         w.writeheader()
         w.writerows(rows)
-        return
-    widths = {c: max(len(c), *(len(_fmt_cell(r[c])) for r in rows))
-              for c in cols} if rows else {}
-    stream.write("  ".join(c.ljust(widths[c]) for c in cols) + "\n")
-    for r in rows:
-        stream.write("  ".join(
-            _fmt_cell(r[c]).ljust(widths[c]) for c in cols) + "\n")
+        return 0
+    lines = [cols] + [[_fmt_cell(r[c]) for c in cols] for r in rows]
+    widths = [max(len(line[i]) for line in lines) for i in range(len(cols))]
+    for line in lines:
+        out.write("  ".join(v.ljust(w) for v, w in zip(line, widths)) + "\n")
+    return 0
 
 
 def _fmt_cell(v) -> str:
     if isinstance(v, float):
         return f"{v:.10g}"
     return str(v)
-
-
-def _write_manifest_sidecar(output: str, manifest: RunManifest) -> None:
-    with open(output + ".manifest.json", "w") as f:
-        json.dump(asdict(manifest), f, indent=2)
-        f.write("\n")
 
 
 def _check_ceiling(name: str, n, settings: Settings) -> None:
@@ -156,32 +171,23 @@ def _base_for(x: int) -> arith.PrimeTable:
 
 
 def cmd_count(args, settings: Settings) -> int:
-    t0 = time.time()
     x, k = args.x, args.k
     _check_ceiling("x", x, settings)
-    base = _base_for(x)
-    rows = []
-    methods = {"exact": ("exact",), "oracle": ("oracle",),
-               "both": ("exact", "oracle")}[args.method]
-    for method in methods:
-        if method == "exact":
-            r = counting.count_exact(x, k, base)
-        else:
-            r = counting.annotate_count(x, k, counting.count_oracle(x, k),
-                                        method="kfree-oracle")
-        rows.append({"x": x, "k": k, "count": r.count,
-                     "main_term": r.main_term,
-                     "normalized_error": r.normalized_error,
-                     "A": exponents(k), "method": r.method})
-    manifest = RunManifest(command="count",
-                           parameters={"x": x, "k": k, "method": args.method},
-                           timings_ms={"total": (time.time() - t0) * 1000})
-    _emit(rows, manifest, settings.fmt)
-    return 0
+    results = []
+    if args.method != "exact":
+        # first: the oracle refuses x past its own ceiling before it
+        # allocates, so nothing is sieved for a refused run
+        results.append(counting.annotate_count(
+            x, k, counting.count_oracle(x, k), method="kfree-oracle"))
+    if args.method != "oracle":
+        results.insert(0, counting.count_exact(x, k, _base_for(x)))
+    rows = [{"x": x, "k": k, "count": r.count, "main_term": r.main_term,
+             "normalized_error": r.normalized_error, "A": exponents(k),
+             "method": r.method} for r in results]
+    return _emit(rows, args, settings)
 
 
 def cmd_sweep(args, settings: Settings) -> int:
-    t0 = time.time()
     if not 2 <= args.points <= MAX_SWEEP_POINTS:
         raise DomainError(f"sweep needs 2 <= points <= {MAX_SWEEP_POINTS}, "
                           f"got {args.points}")
@@ -200,18 +206,16 @@ def cmd_sweep(args, settings: Settings) -> int:
                      "main_term": r.main_term,
                      "error": r.count - r.main_term,
                      "normalized_error": r.normalized_error})
-    manifest = RunManifest(
-        command="sweep",
-        parameters={"k": args.k, "x_min": args.x_min, "x_max": args.x_max,
-                    "points": args.points, "output": args.output},
-        timings_ms={"total": (time.time() - t0) * 1000})
+    manifest = _manifest(args, settings)
     try:
         with open(args.output, "w", newline="") as f:
             w = csv.DictWriter(f, fieldnames=["x", "k", "count", "main_term",
                                               "error", "normalized_error"])
             w.writeheader()
             w.writerows(rows)
-        _write_manifest_sidecar(args.output, manifest)
+        with open(args.output + ".manifest.json", "w") as f:
+            json.dump(asdict(manifest), f, indent=2)
+            f.write("\n")
     except OSError as e:
         print(f"error: cannot write {args.output}: {e}", file=sys.stderr)
         return EXIT_IO
@@ -221,7 +225,6 @@ def cmd_sweep(args, settings: Settings) -> int:
 
 
 def cmd_cstar(args, settings: Settings) -> int:
-    t0 = time.time()
     _check_ceiling("x", args.x, settings)
     base = _base_for(args.x)
     r = counting.cstar(args.x, args.k, base)
@@ -230,15 +233,10 @@ def cmd_cstar(args, settings: Settings) -> int:
              "normalized_error": r.normalized_error,
              "prime_power_correction": corr.value,
              "correction_scale_ratio": corr.scale_ratio}]
-    manifest = RunManifest(command="cstar",
-                           parameters={"x": args.x, "k": args.k},
-                           timings_ms={"total": (time.time() - t0) * 1000})
-    _emit(rows, manifest, settings.fmt)
-    return 0
+    return _emit(rows, args, settings)
 
 
 def cmd_explicit(args, settings: Settings) -> int:
-    t0 = time.time()
     _check_ceiling("x", args.x, settings)
     table = _zero_table(args, settings)
     base = _base_for(int(args.x))
@@ -248,17 +246,10 @@ def cmd_explicit(args, settings: Settings) -> int:
              "abs_gap": abs(value - exact),
              "rel_gap": abs(value - exact) / exact if exact else math.inf,
              "remainder_bound": bound, "zeros_used": len(table)}]
-    manifest = RunManifest(
-        command="explicit",
-        parameters={"x": args.x, "limit": args.limit},
-        zero_table_source=table.source_label, truncation=len(table),
-        timings_ms={"total": (time.time() - t0) * 1000})
-    _emit(rows, manifest, settings.fmt)
-    return 0
+    return _emit(rows, args, settings, table)
 
 
 def cmd_interval(args, settings: Settings) -> int:
-    t0 = time.time()
     x, k = args.x, args.k
     if args.f is not None:
         h, delta = counting.interval_scaling(x, args.f, k)
@@ -267,7 +258,12 @@ def cmd_interval(args, settings: Settings) -> int:
     else:
         h, delta = args.h, max(2, args.h // 10)
     _check_ceiling("h", h, settings)
-    table = _zero_table(args, settings) if args.with_zeros else None
+    table = None
+    if args.with_zeros:
+        table = _zero_table(args, settings)
+        # the diagnostics' domain, refused before any sieving
+        w = explicit.TrapezoidWeight(float(x), float(h), float(delta))
+        table.check_covers(x / delta)
     # sized for S_Delta, which reads prime powers up to x + h + delta
     base = _base_for(x + h + delta)
     count = counting.count_interval(x, h, k, base)
@@ -278,27 +274,16 @@ def cmd_interval(args, settings: Settings) -> int:
         row["f"] = args.f
         row["delta"] = delta
         row["predicted_scale"] = args.f ** -0.5
-    table_src, trunc = "", 0
     if table is not None:
-        table_src, trunc = table.source_label, len(table)
-        d = float(delta)
-        row["s_delta_direct"] = explicit.s_delta_direct(float(x), float(h),
-                                                        d, base)
-        if x / d <= table.max_ordinate:
-            bd = explicit.zero_sum_breakdown(float(x), float(h), d, table)
-            row["ratio_low"], row["ratio_mid"], row["ratio_high"] = bd.ratios
-            row["zero_sum_remainder_bound"] = bd.remainder_bound
-    manifest = RunManifest(
-        command="interval",
-        parameters={"x": x, "h": h, "k": k, "f": args.f},
-        zero_table_source=table_src, truncation=trunc,
-        timings_ms={"total": (time.time() - t0) * 1000})
-    _emit([row], manifest, settings.fmt)
-    return 0
+        row["s_delta_direct"] = explicit.s_delta_direct(w.x, w.h, w.delta,
+                                                        base)
+        bd = explicit.zero_sum_breakdown(w.x, w.h, w.delta, table)
+        row["ratio_low"], row["ratio_mid"], row["ratio_high"] = bd.ratios
+        row["zero_sum_remainder_bound"] = bd.remainder_bound
+    return _emit([row], args, settings, table)
 
 
 def cmd_zeros_stats(args, settings: Settings) -> int:
-    t0 = time.time()
     table = _zero_table(args, settings)
     rows = []
     for T in args.T or [100.0, 1000.0, table.max_ordinate]:
@@ -310,12 +295,7 @@ def cmd_zeros_stats(args, settings: Settings) -> int:
         row["inv_gamma_sq_tail"] = tail
         row["inv_gamma_sq_tail_bound"] = bound
         rows.append(row)
-    manifest = RunManifest(
-        command="zeros-stats", parameters={"T": args.T},
-        zero_table_source=table.source_label, truncation=len(table),
-        timings_ms={"total": (time.time() - t0) * 1000})
-    _emit(rows, manifest, settings.fmt)
-    return 0
+    return _emit(rows, args, settings, table)
 
 
 def cmd_fetch_zeros(args, settings: Settings) -> int:
@@ -348,8 +328,7 @@ def cmd_fetch_zeros(args, settings: Settings) -> int:
 
 def cmd_verify(args, settings: Settings) -> int:
     results = verify.run_all(args.scale)
-    manifest = RunManifest(command="verify",
-                           parameters={"scale": args.scale})
+    manifest = _manifest(args, settings)
     failures = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -18,7 +18,6 @@ from . import arith
 from .analytic import exponents, interval_main_term, li, zeta_int
 from .arith import PrimeTable, iroot
 from .errors import CapacityError, DomainError
-from .explicit import s_delta_direct
 
 # Beyond k = 64 only m = 1 contributes for any feasible x; capping
 # avoids needless giant-power arithmetic.
@@ -185,8 +184,8 @@ def count_interval(x: int, h: int, k: int, base: PrimeTable, *,
 def interval_deviation(x: int, h: int, k: int,
                        count: int) -> tuple[float, float]:
     """(expected, relative deviation) of a count on (x, x+h] against the
-    per-m main term; the one comparison behind `ppcount interval`, the
-    theorem-3 experiment and the short-interval check."""
+    per-m main term; the one comparison behind `ppcount interval` and
+    the short-interval check."""
     expected = interval_main_term(x, h, k)
     if expected == 0.0:
         raise DomainError(
@@ -206,32 +205,3 @@ def interval_scaling(x: int, f: float, k: int) -> tuple[int, int]:
         raise DomainError(f"h = f * x^(1/2) log^A x overflows at f = {f}")
     h = max(2, int(round(f * scale)))
     return h, min(h, max(2, int(round(math.sqrt(f) * scale))))
-
-
-@dataclass(frozen=True)
-class Theorem3Report:
-    """One short-interval experiment, with h and delta chosen by
-    interval_scaling."""
-
-    x: int
-    k: int
-    f: float
-    h: int
-    delta: int
-    count: int
-    expected: float
-    rel_deviation: float
-    predicted_scale: float  # f^(-1/2)
-    s_delta: float
-
-
-def theorem3_experiment(x: int, f: float, k: int,
-                        base: PrimeTable) -> Theorem3Report:
-    k = _check_xk(x, k)
-    h, delta = interval_scaling(x, f, k)
-    count = count_interval(x, h, k, base)
-    expected, rel = interval_deviation(x, h, k, count)
-    sd = s_delta_direct(float(x), float(h), float(delta), base)
-    return Theorem3Report(
-        x=x, k=k, f=f, h=h, delta=delta, count=count, expected=expected,
-        rel_deviation=rel, predicted_scale=f ** -0.5, s_delta=sd)

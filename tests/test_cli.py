@@ -164,6 +164,23 @@ class TestConfig:
         assert rc == cli.EXIT_CAPACITY
         assert f"sieve ceiling {cli.DEFAULT_SIEVE_CEILING}" in err
 
+    @pytest.mark.parametrize("argv, code, text", [
+        (["interval", "--x", "1e9", "--h", "1e3", "--k", "2",
+          "--with-zeros"], cli.EXIT_VALIDATION, "ordinates up to"),
+        (["interval", "--x", "1e10", "--h", "1", "--k", "2",
+          "--with-zeros"], cli.EXIT_USAGE, "2 <= delta <= h <= x"),
+        (["interval", "--x", "50", "--h", "100", "--k", "2",
+          "--with-zeros"], cli.EXIT_USAGE, "2 <= delta <= h <= x"),
+        (["count", "--x", "3e8", "--k", "2", "--method", "both"],
+         cli.EXIT_CAPACITY, "oracle route capped"),
+    ])
+    def test_refused_before_sieving(self, capsys, monkeypatch, argv, code,
+                                    text):
+        monkeypatch.setattr(cli.arith, "sieve_primes", None)
+        rc, out, err = run(capsys, *argv)
+        assert rc == code
+        assert out == "" and text in err
+
     def test_config_zeros_path(self, capsys, tmp_path, zeros100):
         zp = tmp_path / "z.txt"
         zp.write_text("\n".join(f"{g:.9f}" for g in zeros100.ordinates))
@@ -284,14 +301,22 @@ class TestInterval:
 
     def test_f_scaling_with_zeros(self, capsys):
         # S_Delta reads up to x + h + delta, beyond sqrt(x + h)^2
-        rc, out, _ = run(capsys, "--format", "json", "interval",
-                         "--x", "1e8", "--k", "2", "--f", "4",
-                         "--with-zeros")
+        argv = ["interval", "--x", "1e8", "--k", "2", "--f", "4",
+                "--with-zeros"]
+        rc, out, _ = run(capsys, "--format", "json", *argv)
         assert rc == 0
-        row = json.loads(out)["rows"][0]
+        payload = json.loads(out)
+        row = payload["rows"][0]
         for key in ("s_delta_direct", "ratio_low", "ratio_mid",
                     "ratio_high"):
             assert key in row
+        # the manifest records the parsed arguments, not the derived h
+        params = payload["manifest"]["parameters"]
+        parsed = vars(cli.build_parser().parse_args(argv))
+        assert params == {key: v for key, v in parsed.items()
+                          if key not in cli.NOT_PARAMETERS}
+        assert params["with_zeros"] is True
+        assert params["f"] == 4.0 and params["h"] is None
 
     def test_with_zeros_diagnostics(self, capsys):
         rc, out, _ = run(capsys, "--format", "json", "interval",

@@ -185,36 +185,32 @@ class TestCountInterval:
 
 
 class TestTheorem3Experiment:
-    def test_h_scaling_per_k(self, base_1e4):
+    def test_h_scaling_per_k(self):
         x, f = 10 ** 6, 2.0
-        r2 = counting.theorem3_experiment(x, f, 2, base_1e4)
-        r3 = counting.theorem3_experiment(x, f, 3, base_1e4)
+        h2, delta2 = counting.interval_scaling(x, f, 2)
+        h3, _ = counting.interval_scaling(x, f, 3)
         lx = math.log(x)
-        assert r2.h == pytest.approx(f * math.sqrt(x) * lx ** 2, abs=1.0)
-        assert r3.h == pytest.approx(f * math.sqrt(x) * lx, abs=1.0)
-        assert r2.delta == pytest.approx(math.sqrt(f) * math.sqrt(x) * lx ** 2,
-                                         abs=1.0)
-        assert r2.predicted_scale == pytest.approx(f ** -0.5)
-
-    def test_report_consistency(self, base_1e4):
-        r = counting.theorem3_experiment(10 ** 6, 4.0, 3, base_1e4)
-        assert r.count == counting.count_interval(10 ** 6, r.h, 3, base_1e4)
-        assert r.rel_deviation == pytest.approx(r.count / r.expected - 1.0)
-        assert r.delta <= r.h
+        assert h2 == pytest.approx(f * math.sqrt(x) * lx ** 2, abs=1.0)
+        assert h3 == pytest.approx(f * math.sqrt(x) * lx, abs=1.0)
+        assert delta2 == pytest.approx(math.sqrt(f) * math.sqrt(x) * lx ** 2,
+                                       abs=1.0)
 
     def test_larger_f_tightens_deviation(self, base_1e4):
         # widening the window (f: 4 -> 64) should shrink the relative
         # deviation for most x; assert the median shrinks
         rng = random.Random(7)
         xs = [rng.randrange(10 ** 6, 10 ** 7) for _ in range(9)]
-        devs = {f: sorted(abs(counting.theorem3_experiment(
-            x, f, 3, base_1e4).rel_deviation) for x in xs)
-            for f in (4.0, 64.0)}
+
+        def deviation(x, f):
+            h, _ = counting.interval_scaling(x, f, 3)
+            count = counting.count_interval(x, h, 3, base_1e4)
+            return abs(counting.interval_deviation(x, h, 3, count)[1])
+
+        devs = {f: sorted(deviation(x, f) for x in xs) for f in (4.0, 64.0)}
         assert devs[64.0][4] < devs[4.0][4]
 
-    def test_domain(self, base100):
-        with pytest.raises(DomainError):
-            counting.theorem3_experiment(10 ** 4, 1.0, 2, base100)
-        for x, f in ((0, 4.0), (10 ** 4, float("nan")), (10 ** 4, 1e308)):
+    def test_domain(self):
+        for x, f in ((10 ** 4, 1.0), (0, 4.0), (10 ** 4, float("nan")),
+                     (10 ** 4, 1e308)):
             with pytest.raises(DomainError):
                 counting.interval_scaling(x, f, 2)
