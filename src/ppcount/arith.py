@@ -1,6 +1,8 @@
 """Exact integer-side arithmetic: sieves, von Mangoldt values, psi and
 interval prime counts.
 
+One odd-only Eratosthenes kernel, ``_segment_primes``, builds the base
+table (from the table up to its square root) and sieves every window.
 All interval operations are segmented, so queries near 10^12 only ever
 need a base table of primes up to 10^6. Segments are processed and
 merged in a fixed order.
@@ -60,18 +62,15 @@ class LambdaSegment:
 
 
 def sieve_primes(limit: int) -> PrimeTable:
-    """Complete prime table up to ``limit`` (inclusive)."""
+    """Complete prime table up to ``limit`` (inclusive): one sieve of
+    (0, limit] with the table up to sqrt(limit)."""
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     if limit > DEFAULT_SIEVE_BUDGET:
         raise CapacityError(f"sieve limit {limit} exceeds memory budget "
                             f"{DEFAULT_SIEVE_BUDGET}")
-    is_comp = np.zeros(limit + 1, dtype=bool)
-    is_comp[:2] = True
-    for p in range(2, math.isqrt(limit) + 1):
-        if not is_comp[p]:
-            is_comp[p * p:: p] = True
-    primes = np.nonzero(~is_comp)[0].astype(np.int64)
+    primes = (np.arange(2, limit + 1, dtype=np.int64) if limit < 4 else
+              _segment_primes(0, limit, sieve_primes(math.isqrt(limit))))
     return PrimeTable(limit=limit, primes=primes)
 
 
@@ -124,30 +123,21 @@ def _check_interval(lo: int, hi: int, base: PrimeTable) -> None:
 
 
 def _segment_primes(lo: int, hi: int, base: PrimeTable) -> np.ndarray:
-    """Primes in (lo, hi] by odd-only sieving with the base table."""
-    out_two = lo < 2 <= hi
-    o0 = lo + 1
-    if o0 % 2 == 0:
-        o0 += 1
-    if o0 > hi:
-        return np.array([2], dtype=np.int64) if out_two else \
-            np.empty(0, dtype=np.int64)
-    n_odds = (hi - o0) // 2 + 1
+    """Primes in (lo, hi] by odd-only sieving with the base table: the
+    mask holds the odd candidates from o0 = max(3, first odd > lo), and
+    each odd base prime p <= sqrt(hi) strikes its odd multiples from
+    max(p*p, o0) on; a p with none in the mask costs no loop turn."""
+    o0 = max(3, (lo + 1) | 1)
+    n_odds = max(0, (hi - o0) // 2 + 1)
     mask = np.ones(n_odds, dtype=bool)
-    if o0 == 1:
-        mask[0] = False
-    root = math.isqrt(hi)
-    odd_primes = base.primes[1: bisect_right(base.primes, root)]
-    for p in odd_primes.tolist():
-        start = max(p * p, ((o0 + p - 1) // p) * p)
-        if start % 2 == 0:
-            start += p
-        if start <= hi:
-            mask[(start - o0) // 2:: p] = False
-    primes = o0 + 2 * np.nonzero(mask)[0].astype(np.int64)
-    if out_two:
-        primes = np.concatenate(([2], primes))
-    return primes
+    ps = base.primes[1: bisect_right(base.primes, math.isqrt(hi))]
+    # mask index of p * m, m the least odd m >= max(p, o0 / p)
+    js = ((np.maximum(ps, -(-o0 // ps)) | 1) * ps - o0) // 2
+    hit = js < n_odds
+    for p, j in zip(ps[hit].tolist(), js[hit].tolist()):
+        mask[j::p] = False
+    two = np.array([2] if lo < 2 <= hi else [], dtype=np.int64)
+    return np.concatenate((two, o0 + 2 * np.flatnonzero(mask)))
 
 
 def _segments(lo: int, hi: int, seg_len: int):

@@ -251,6 +251,8 @@ def cmd_explicit(args, settings: Settings) -> int:
 
 def cmd_interval(args, settings: Settings) -> int:
     x, k = args.x, args.k
+    if not args.with_zeros and (args.zeros, args.limit) != (None, None):
+        raise DomainError("--zeros and --limit need --with-zeros")
     if args.f is not None:
         h, delta = counting.interval_scaling(x, args.f, k)
     elif args.h is None or args.h < 1:
@@ -380,8 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("interval", help="short-interval count")
     c.add_argument("--x", type=_int_arg, required=True)
     c.add_argument("--k", type=_int_arg, required=True)
-    c.add_argument("--h", type=_int_arg, default=None)
-    c.add_argument("--f", type=_float_arg, default=None)
+    g = c.add_mutually_exclusive_group()
+    g.add_argument("--h", type=_int_arg, default=None)
+    g.add_argument("--f", type=_float_arg, default=None)
     c.add_argument("--zeros", default=None)
     c.add_argument("--limit", type=_int_arg, default=None)
     c.add_argument("--with-zeros", action="store_true",

@@ -34,10 +34,10 @@ def zeros10k():
     return zeros.builtin_table("10k")
 
 
-def trial_division_primes(limit):
-    """Independent oracle: primes up to limit by pure trial division."""
+def trial_division_primes(limit, lo=0):
+    """Independent oracle: primes in (lo, limit] by pure trial division."""
     out = []
-    for n in range(2, limit + 1):
+    for n in range(max(lo + 1, 2), limit + 1):
         if all(n % d for d in range(2, math.isqrt(n) + 1)):
             out.append(n)
     return out

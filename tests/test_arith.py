@@ -20,11 +20,18 @@ class TestSievePrimes:
         got = arith.sieve_primes(1000).primes.tolist()
         assert got == trial_division_primes(1000)
 
+    @pytest.mark.parametrize("limit", [2, 3, 4, 8, 9, 24, 25, 48, 49, 120,
+                                       121, 10 ** 4 + 7])
+    def test_recursion_base_and_squares(self, limit):
+        table = arith.sieve_primes(limit)
+        assert table.limit == limit and table.primes.dtype == np.int64
+        assert table.primes.tolist() == trial_division_primes(limit)
+
     def test_domain_and_budget(self, monkeypatch):
         with pytest.raises(DomainError):
             arith.sieve_primes(1)
-        # refused before the sieve array is allocated
-        monkeypatch.setattr(arith.np, "zeros", None)
+        # refused before the sieve mask is allocated
+        monkeypatch.setattr(arith.np, "ones", None)
         with pytest.raises(CapacityError):
             arith.sieve_primes(arith.DEFAULT_SIEVE_BUDGET + 1)
 
@@ -32,6 +39,30 @@ class TestSievePrimes:
         base100.check_covers(100 ** 2)
         with pytest.raises(CoverageError):
             base100.check_covers(100 ** 2 + 1)
+
+
+class TestSegmentPrimes:
+    @pytest.mark.parametrize("lo, hi", [
+        (0, 0), (0, 1), (0, 2), (1, 2), (2, 3), (1, 9), (8, 9), (24, 25),
+        (48, 49), (120, 121),
+        (9000, 97 ** 2),           # ends at the largest base prime's square
+        (97 ** 2, 9800),           # starts there
+        (9410, 9500),              # 97 <= sqrt(hi) has no odd multiple here
+    ])
+    def test_against_trial_division(self, base100, lo, hi):
+        got = arith._segment_primes(lo, hi, base100)
+        assert got.dtype == np.int64
+        assert got.tolist() == trial_division_primes(hi, lo)
+
+    def test_beyond_small_base(self, base_1e4):
+        lo, hi = 10 ** 6, 10 ** 6 + 1000
+        assert (arith._segment_primes(lo, hi, base_1e4).tolist()
+                == trial_division_primes(hi, lo))
+
+    def test_near_1e12(self, base_1e6):
+        lo, hi = 10 ** 12 - 1000, 10 ** 12 + 1000
+        want = [n for n in range(lo + 1, hi + 1) if arith.is_prime(n)]
+        assert arith._segment_primes(lo, hi, base_1e6).tolist() == want
 
 
 class TestIsPrime:

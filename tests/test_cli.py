@@ -77,6 +77,7 @@ class TestArguments:
         ["explicit", "--x", "inf"],
         ["explicit", "--x", "nan"],
         ["interval", "--x", "1e6", "--k", "2", "--f", "nan"],
+        ["interval", "--x", "1e8", "--h", "5", "--f", "4", "--k", "2"],
         ["--threads", "2", "count", "--x", "100", "--k", "2"],
     ])
     def test_bad_argument_is_usage_error(self, capsys, argv):
@@ -173,6 +174,10 @@ class TestConfig:
           "--with-zeros"], cli.EXIT_USAGE, "2 <= delta <= h <= x"),
         (["count", "--x", "3e8", "--k", "2", "--method", "both"],
          cli.EXIT_CAPACITY, "oracle route capped"),
+        (["interval", "--x", "1e6", "--h", "1e4", "--k", "2", "--limit", "0",
+          "--zeros", "/nonexistent"], cli.EXIT_USAGE, "need --with-zeros"),
+        (["interval", "--x", "1e6", "--h", "1e4", "--k", "2", "--limit",
+          "5"], cli.EXIT_USAGE, "need --with-zeros"),
     ])
     def test_refused_before_sieving(self, capsys, monkeypatch, argv, code,
                                     text):
