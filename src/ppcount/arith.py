@@ -3,9 +3,11 @@ interval prime counts.
 
 One odd-only Eratosthenes kernel, ``_segment_primes``, builds the base
 table (from the table up to its square root) and sieves every window.
-All interval operations are segmented, so queries near 10^12 only ever
-need a base table of primes up to 10^6. Segments are processed and
-merged in a fixed order.
+The table itself lists the proper prime powers p^r (r >= 2) it
+certifies, once (``PrimeTable.proper_powers``); every prime-power walk
+takes its slice of that list. All interval operations are segmented, so
+queries near 10^12 only ever need a base table of primes up to 10^6.
+Segments are processed and merged in a fixed order.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +49,22 @@ class PrimeTable:
         if self.limit * self.limit < hi:
             raise CoverageError(
                 f"base table to {self.limit} cannot certify primes up to {hi}")
+
+    @cached_property
+    def proper_powers(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, p): every p**r <= limit**2 with r >= 2, n ascending, with
+        its prime p; int64, built on first use."""
+        hi = self.limit * self.limit
+        ps, pr, powers, roots = self.primes, self.primes * self.primes, [], []
+        while ps.size:
+            powers.append(pr)
+            roots.append(ps)
+            keep = pr <= hi // ps
+            ps = ps[keep]
+            pr = pr[keep] * ps
+        n, p = np.concatenate(powers), np.concatenate(roots)
+        order = np.argsort(n)
+        return n[order], p[order]
 
 
 @dataclass(frozen=True)
@@ -165,8 +184,7 @@ def prime_count_interval(lo: int, hi: int, base: PrimeTable, *,
                for s, e in _segments(lo, hi, seg_len))
 
 
-def prime_counts_at(thresholds, base: PrimeTable, *,
-                    seg_len: int = DEFAULT_SEGMENT_LENGTH) -> np.ndarray:
+def prime_counts_at(thresholds, base: PrimeTable) -> np.ndarray:
     """pi(t) for every t in ``thresholds``, via one growing sieve pass.
 
     Far cheaper than independent interval counts when many thresholds
@@ -184,7 +202,7 @@ def prime_counts_at(thresholds, base: PrimeTable, *,
     order = np.unique(ts)
     counts = np.zeros(order.size, dtype=np.int64)
     running = 0
-    for s, e in _segments(0, hi, seg_len):
+    for s, e in _segments(0, hi, DEFAULT_SEGMENT_LENGTH):
         ps = _segment_primes(s, e, base)
         i0, i1 = np.searchsorted(order, [s, e], side="right")
         counts[i0:i1] = running + np.searchsorted(ps, order[i0:i1],
@@ -195,32 +213,22 @@ def prime_counts_at(thresholds, base: PrimeTable, *,
 
 def lambda_segment(lo: int, hi: int, base: PrimeTable) -> LambdaSegment:
     """All n in (lo, hi] with Lambda(n) != 0, with log p: the primes of
-    one sieve of (lo, hi] and the proper prime powers there."""
+    one sieve of (lo, hi] and the table's proper prime powers there."""
     _check_interval(lo, hi, base)
     primes = _segment_primes(lo, hi, base)
-    # powers p**r, r >= 2: p <= sqrt(hi) always lies within the base table
-    ps = base.primes[: bisect_right(base.primes, math.isqrt(hi))]
-    pr, powers, roots = ps * ps, [primes], [primes]
-    while ps.size:
-        hit = pr > lo
-        powers.append(pr[hit])
-        roots.append(ps[hit])
-        keep = pr <= hi // ps
-        ps = ps[keep]
-        pr = pr[keep] * ps
-    n_all = np.concatenate(powers)
-    p_all = np.concatenate(roots)
-    order = np.argsort(n_all)
-    return LambdaSegment(lo=lo, hi=hi, n=n_all[order],
-                         log_p=np.log(p_all[order].astype(np.float64)))
+    n, p = base.proper_powers
+    i0, i1 = np.searchsorted(n, [lo, hi], side="right")
+    at = np.searchsorted(primes, n[i0:i1])
+    return LambdaSegment(
+        lo=lo, hi=hi, n=np.insert(primes, at, n[i0:i1]),
+        log_p=np.log(np.insert(primes, at, p[i0:i1]).astype(np.float64)))
 
 
-def lambda_segments(lo: int, hi: int, base: PrimeTable,
-                    seg_len: int = DEFAULT_SEGMENT_LENGTH):
+def lambda_segments(lo: int, hi: int, base: PrimeTable):
     """lambda_segment(s, e) for each segment (s, e] of (lo, hi], ascending,
     after one coverage check; no segment outlives its turn."""
     _check_interval(lo, hi, base)
-    for s, e in _segments(lo, hi, seg_len):
+    for s, e in _segments(lo, hi, DEFAULT_SEGMENT_LENGTH):
         yield lambda_segment(s, e, base)
 
 
@@ -236,9 +244,7 @@ def psi(x, base: PrimeTable) -> float:
     return float(weighted_lambda_sums_at([xf], base)[0])
 
 
-def weighted_lambda_sums_at(thresholds, base: PrimeTable, *,
-                            seg_len: int = DEFAULT_SEGMENT_LENGTH
-                            ) -> np.ndarray:
+def weighted_lambda_sums_at(thresholds, base: PrimeTable) -> np.ndarray:
     """psi(t) for each threshold, in one segmented pass.
 
     Whole segments are summed with np.sum and merged with math.fsum; a
@@ -258,7 +264,7 @@ def weighted_lambda_sums_at(thresholds, base: PrimeTable, *,
     order = np.unique(ts)
     vals = np.zeros(order.size, dtype=np.float64)
     running: list[float] = []
-    for seg in lambda_segments(1, hi, base, seg_len):
+    for seg in lambda_segments(1, hi, base):
         i0, i1 = np.searchsorted(order, [seg.lo, seg.hi], side="right")
         if i1 > i0:
             j = np.searchsorted(seg.n, order[i0:i1], side="right")

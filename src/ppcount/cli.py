@@ -244,7 +244,8 @@ def cmd_explicit(args, settings: Settings) -> int:
     value, bound = explicit.psi1_via_zeros(args.x, table)
     rows = [{"x": args.x, "psi1_exact": exact, "psi1_via_zeros": value,
              "abs_gap": abs(value - exact),
-             "rel_gap": abs(value - exact) / exact if exact else math.inf,
+             # psi_1 = 0 for x < 3: no relative gap, and JSON has no inf
+             "rel_gap": abs(value - exact) / exact if exact else None,
              "remainder_bound": bound, "zeros_used": len(table)}]
     return _emit(rows, args, settings, table)
 

@@ -20,7 +20,7 @@ from .arith import PrimeTable, iroot
 from .errors import CapacityError, DomainError
 
 # Beyond k = 64 only m = 1 contributes for any feasible x; capping
-# avoids needless giant-power arithmetic.
+# avoids needless giant-power arithmetic. Results report the caller's k.
 K_CAP = 64
 
 ORACLE_CEILING = 10 ** 7
@@ -59,6 +59,14 @@ def _check_xk(x: int, k: int) -> int:
     return min(k, K_CAP)
 
 
+def _m_powers(x: int, k: int, base: PrimeTable) -> np.ndarray:
+    """m^k for m = 1 .. x^(1/k), ascending, int64; x and k are checked,
+    and the coverage of x, before anything is allocated."""
+    k = _check_xk(x, k)
+    base.check_covers(x)
+    return np.arange(1, iroot(x, k) + 1, dtype=np.int64) ** k
+
+
 def _normalized(diff: float, x: int, k: int) -> float:
     if x < 2:
         return 0.0
@@ -80,12 +88,8 @@ def count_exact(x: int, k: int, base: PrimeTable) -> CountResult:
     The pi ladder is resolved in one growing segmented-sieve pass, so
     the dominant m = 1 term shares work with all smaller thresholds.
     """
-    k = _check_xk(x, k)
-    base.check_covers(x)  # before the x^(1/k) thresholds are built
-    mmax = iroot(x, k)
     # m descending <=> thresholds ascending
-    thresholds = [x // m ** k for m in range(mmax, 0, -1)]
-    counts = arith.prime_counts_at(thresholds, base)
+    counts = arith.prime_counts_at(x // _m_powers(x, k, base)[::-1], base)
     return annotate_count(x, k, int(np.sum(counts)))
 
 
@@ -120,11 +124,8 @@ def count_oracle(x: int, k: int) -> int:
 
 def cstar(x: int, k: int, base: PrimeTable) -> CstarResult:
     """C*_k(x) = sum of Lambda(n) over n m^k <= x, via psi(x // m^k)."""
-    k = _check_xk(x, k)
-    base.check_covers(x)  # before the x^(1/k) thresholds are built
-    mmax = iroot(x, k)
-    thresholds = [x // m ** k for m in range(mmax, 0, -1)]
-    psis = arith.weighted_lambda_sums_at(thresholds, base)
+    psis = arith.weighted_lambda_sums_at(x // _m_powers(x, k, base)[::-1],
+                                         base)
     value = math.fsum(psis.tolist())
     main = zeta_int(k) * x
     return CstarResult(x=x, k=k, value=value, main_term=main,
@@ -145,17 +146,13 @@ class PrimePowerCorrection:
 
 def prime_power_correction(x: int, k: int,
                            base: PrimeTable) -> PrimePowerCorrection:
-    """Each proper prime power p^r <= x (r >= 2) contributes log p once
-    per m with m^k <= x // p^r."""
-    k = _check_xk(x, k)
-    base.check_covers(x)  # before the int64 arrays are built
-    mk = np.arange(1, iroot(x, k) + 1, dtype=np.int64) ** k
-    ps, parts = base.primes, []
-    for r in range(2, x.bit_length()):  # 2^r <= x
-        ps = ps[: np.searchsorted(ps, iroot(x, r), side="right")]
-        m_count = np.searchsorted(mk, x // ps ** r, side="right")
-        parts.extend((np.log(ps.astype(np.float64)) * m_count).tolist())
-    value = math.fsum(parts)
+    """Each proper prime power p^r <= x (r >= 2) of the table contributes
+    log p once per m with m^k <= x // p^r."""
+    mk = _m_powers(x, k, base)
+    n, p = base.proper_powers
+    j = np.searchsorted(n, x, side="right")
+    m_count = np.searchsorted(mk, x // n[:j], side="right")
+    value = math.fsum((np.log(p[:j].astype(np.float64)) * m_count).tolist())
     if x >= 2:
         scale = math.sqrt(x) * (math.log(x) if k == 2 else 1.0)
         ratio = value / scale

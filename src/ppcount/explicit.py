@@ -237,14 +237,14 @@ class ZeroSumBreakdown:
     of the short-interval argument, with each range's empirical ratio to
     its O-bound expression."""
 
-    low: complex        # |gamma| <= x/h            (bound: delta*sqrt(x)*log x)
-    mid: complex        # x/h < |gamma| <= x/delta  (bound: h*sqrt(x)*log x)
-    high: complex       # x/delta < |gamma| <= table end (bound as low)
+    low: float          # |gamma| <= x/h            (bound: delta*sqrt(x)*log x)
+    mid: float          # x/h < |gamma| <= x/delta  (bound: h*sqrt(x)*log x)
+    high: float         # x/delta < |gamma| <= table end (bound as low)
     remainder_bound: float
     ratios: tuple[float, float, float]
 
     @property
-    def total(self) -> complex:
+    def total(self) -> float:
         return self.low + self.mid + self.high
 
 
@@ -263,7 +263,6 @@ def zero_sum_breakdown(x: float, h: float, delta: float,
     bounds = (delta * sx_lx, h * sx_lx, delta * sx_lx)
     remainder = 8.0 * _zero_tail(x + h + delta, table)
     return ZeroSumBreakdown(
-        low=complex(low), mid=complex(mid), high=complex(high),
-        remainder_bound=remainder,
+        low=low, mid=mid, high=high, remainder_bound=remainder,
         ratios=(abs(low) / bounds[0], abs(mid) / bounds[1],
                 abs(high) / bounds[2]))

@@ -79,15 +79,14 @@ def check_known_values() -> CheckResult:
     return _result("known-values", not bad, detail, t0)
 
 
-def check_trapezoid_identity(n_triples: int = 50,
-                             seed: int = 20260823) -> CheckResult:
-    """s_delta_direct == s_delta_via_psi1 to 1e-8 relative on randomized
-    (x, h, delta) with 2 <= delta <= h <= x <= 10^6."""
+def check_trapezoid_identity() -> CheckResult:
+    """s_delta_direct == s_delta_via_psi1 to 1e-8 relative on 50
+    randomized (x, h, delta) with 2 <= delta <= h <= x <= 10^6."""
     t0 = time.time()
-    rng = random.Random(seed)
+    rng = random.Random(20260823)
     base = arith.sieve_primes(10 ** 4)
     worst = 0.0
-    for _ in range(n_triples):
+    for _ in range(50):
         x = math.exp(rng.uniform(math.log(1e3), math.log(1e6)))
         h = math.exp(rng.uniform(math.log(2.0), math.log(x)))
         d = math.exp(rng.uniform(math.log(2.0), math.log(h)))
@@ -96,16 +95,14 @@ def check_trapezoid_identity(n_triples: int = 50,
         rel = abs(a - b) / max(abs(a), 1.0)
         worst = max(worst, rel)
     return _result("trapezoid-identity", worst <= 1e-8,
-                   f"worst relative gap {worst:.2e} over {n_triples} triples",
-                   t0)
+                   f"worst relative gap {worst:.2e} over 50 triples", t0)
 
 
-def check_explicit_consistency(table=None) -> CheckResult:
+def check_explicit_consistency() -> CheckResult:
     """psi_1(10^4) from the first 10^4 zeros within 1e-3 relative of the
     sieve value; truncation error shrinks from 10 zeros to 10^4."""
     t0 = time.time()
-    if table is None:
-        table = zeros.builtin_table("10k", limit=10 ** 4)
+    table = zeros.builtin_table("10k", limit=10 ** 4)
     base = arith.sieve_primes(200)
     x = 1e4
     exact = explicit.psi1_exact(x, base)
@@ -119,12 +116,11 @@ def check_explicit_consistency(table=None) -> CheckResult:
     return _result("explicit-formula-consistency", ok, detail, t0)
 
 
-def check_zero_table_gates(table=None) -> CheckResult:
+def check_zero_table_gates() -> CheckResult:
     """|N(T) - RvM(T)| < 2 on a grid; reciprocal sum tracks
     (1/4pi) log^2 T with O(log T) slack (constant <= 2)."""
     t0 = time.time()
-    if table is None:
-        table = zeros.builtin_table("10k")
+    table = zeros.builtin_table("10k")
     bad = []
     for T in (50, 100, 500, 1000, 5000):
         gap = abs(zeros.count_below(table, T) - zeros.rvm_estimate(T))
@@ -139,13 +135,12 @@ def check_zero_table_gates(table=None) -> CheckResult:
     return _result("zero-table-gates", not bad, detail, t0)
 
 
-def check_three_range_bounds(table=None) -> CheckResult:
+def check_three_range_bounds() -> CheckResult:
     """Each of the three zero-sum ranges at (x,h,delta)=(1e5,1e3,1e2)
     stays within 10x its bound expression."""
     t0 = time.time()
-    if table is None:
-        table = zeros.builtin_table("10k")
-    bd = explicit.zero_sum_breakdown(1e5, 1e3, 1e2, table)
+    bd = explicit.zero_sum_breakdown(1e5, 1e3, 1e2,
+                                     zeros.builtin_table("10k"))
     ok = all(r <= 10.0 for r in bd.ratios)
     detail = ("ratios low/mid/high = "
               + ", ".join(f"{r:.3f}" for r in bd.ratios)
@@ -153,12 +148,12 @@ def check_three_range_bounds(table=None) -> CheckResult:
     return _result("three-range-bounds", ok, detail, t0)
 
 
-def check_normalized_error(points: int = 20) -> CheckResult:
-    """|e_k(x)| <= 3 on a log grid x in [10^3, 10^8], k in {2, 3};
+def check_normalized_error() -> CheckResult:
+    """|e_k(x)| <= 3 on a 20-point log grid x in [10^3, 10^8], k in {2, 3};
     the empirical maximum is reported."""
     t0 = time.time()
     base = arith.sieve_primes(10 ** 4)
-    grid = np.unique(np.logspace(3, 8, points).astype(np.int64))
+    grid = np.unique(np.logspace(3, 8, 20).astype(np.int64))
     worst = 0.0
     worst_at = None
     for k in (2, 3):

@@ -40,6 +40,18 @@ class TestSievePrimes:
         with pytest.raises(CoverageError):
             base100.check_covers(100 ** 2 + 1)
 
+    @pytest.mark.parametrize("limit", [2, 3, 4, 10, 100, 1007])
+    def test_proper_powers_against_trial_division(self, limit):
+        want = []
+        for p in trial_division_primes(limit):
+            pr = p * p
+            while pr <= limit ** 2:
+                want.append((pr, p))
+                pr *= p
+        n, p = arith.sieve_primes(limit).proper_powers
+        assert n.dtype == p.dtype == np.int64
+        assert list(zip(n.tolist(), p.tolist())) == sorted(want)
+
 
 class TestSegmentPrimes:
     @pytest.mark.parametrize("lo, hi", [
@@ -147,10 +159,12 @@ class TestPrimeCountInterval:
 
 
 class TestPrimeCountsAt:
-    def test_matches_interval_counts(self, base100):
-        thresholds = [0, 1, 2, 100, 5000, 9999, 9999, 37]
-        got = arith.prime_counts_at(thresholds, base100, seg_len=1024)
-        want = [0 if t < 2 else arith.prime_count_interval(1, t, base100)
+    def test_matches_interval_counts(self, base_1e4):
+        # the last four cross the 2^20 segment boundaries
+        thresholds = [0, 1, 2, 100, 5000, 9999, 9999, 37, 2 ** 20 - 1,
+                      2 ** 20, 2 ** 20 + 1, 2 ** 21 + 777]
+        got = arith.prime_counts_at(thresholds, base_1e4)
+        want = [0 if t < 2 else arith.prime_count_interval(1, t, base_1e4)
                 for t in thresholds]
         assert got.tolist() == want
 
@@ -176,19 +190,21 @@ class TestLambdaSegment:
         assert np.allclose(dense, lambda_upto_1e4, atol=1e-12)
 
     def test_segmentation_invariance(self, base_1e4):
-        segs = list(arith.lambda_segments(50, 5000, base_1e4, seg_len=64))
-        whole = arith.lambda_segment(50, 5000, base_1e4)
+        lo, hi = 2 ** 20 - 5000, 2 ** 21 + 5000
+        segs = list(arith.lambda_segments(lo, hi, base_1e4))
+        whole = arith.lambda_segment(lo, hi, base_1e4)
         assert np.concatenate([s.n for s in segs]).tolist() == \
             whole.n.tolist()
         assert np.concatenate([s.log_p for s in segs]).tolist() == \
             whole.log_p.tolist()
 
     def test_segments_walk(self, base_1e4):
-        segs = list(arith.lambda_segments(50, 5000, base_1e4, seg_len=999))
-        assert [(s.lo, s.hi) for s in segs] == [
-            (50, 1049), (1049, 2048), (2048, 3047), (3047, 4046),
-            (4046, 5000)]
-        whole = arith.lambda_segment(50, 5000, base_1e4)
+        lo, hi = 2 ** 20 - 5000, 2 ** 21 + 5000
+        step = arith.DEFAULT_SEGMENT_LENGTH
+        segs = list(arith.lambda_segments(lo, hi, base_1e4))
+        assert [(s.lo, s.hi) for s in segs] == [(lo, lo + step),
+                                                (lo + step, hi)]
+        whole = arith.lambda_segment(lo, hi, base_1e4)
         assert np.concatenate([s.n for s in segs]).tolist() == \
             whole.n.tolist()
         with pytest.raises(CoverageError):
@@ -219,11 +235,21 @@ class TestPsi:
 
 
 class TestWeightedLambdaSumsAt:
-    def test_psi_ladder(self, base_1e4, lambda_upto_1e4):
-        cum = np.cumsum(lambda_upto_1e4)
-        ts = [1, 10, 100, 100, 9999]
-        got = arith.weighted_lambda_sums_at(ts, base_1e4, seg_len=777)
-        assert np.allclose(got, [cum[t] for t in ts], rtol=1e-12)
+    def test_psi_ladder(self, base_1e4):
+        # thresholds straddle the 2^20 segment boundary; the reference
+        # sets Lambda(p^r) = log p densely from a complete prime table
+        ts = [1, 10, 9999, 2 ** 20 - 1, 2 ** 20, 2 ** 20, 2 ** 20 + 1,
+              2 ** 21 + 777]
+        lam = np.zeros(max(ts) + 1)
+        for p in arith.sieve_primes(max(ts)).primes.tolist():
+            pr = p
+            while pr <= max(ts):
+                lam[pr] = math.log(p)
+                pr *= p
+        n = np.nonzero(lam)[0]
+        want = [math.fsum(lam[n[n <= t]].tolist()) for t in ts]
+        got = arith.weighted_lambda_sums_at(ts, base_1e4)
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
 
     def test_coverage_checked_before_int64_cast(self, base100):
         with pytest.raises(CoverageError):

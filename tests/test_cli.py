@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ppcount import cli, counting, zeros
+from ppcount import cli, counting, verify, zeros
 from ppcount.analytic import interval_main_term
 from ppcount.arith import sieve_primes
 
@@ -222,6 +222,14 @@ class TestSweep:
         assert manifest["parameters"]["points"] == 6
         assert manifest["manifest_id"] in out
 
+    def test_large_k_reported_as_given(self, capsys, tmp_path):
+        out_path = tmp_path / "sweep.csv"
+        rc, _, _ = run(capsys, "sweep", "--k", "99", "--x-min", "100",
+                       "--x-max", "1000", "--points", "3",
+                       "--output", str(out_path))
+        assert rc == 0
+        assert [r["k"] for r in parse_csv(out_path.read_text())] == ["99"] * 3
+
     def test_unwritable_output(self, capsys, tmp_path):
         rc, _, err = run(capsys, "sweep", "--k", "2", "--x-min", "100",
                          "--x-max", "200", "--points", "2",
@@ -249,6 +257,12 @@ class TestCstar:
         assert row["prime_power_correction"] > 0
         assert payload["manifest"]["li_convention"]
 
+    def test_large_k_reported_as_given(self, capsys):
+        rc, out, _ = run(capsys, "--format", "json",
+                         "cstar", "--x", "2", "--k", "99")
+        assert rc == 0
+        assert json.loads(out)["rows"][0]["k"] == 99
+
 
 class TestExplicit:
     def test_self_consistency(self, capsys):
@@ -258,6 +272,16 @@ class TestExplicit:
         row = json.loads(out)["rows"][0]
         assert row["rel_gap"] < 1e-3
         assert row["zeros_used"] >= 10 ** 4
+
+    def test_no_relative_gap_below_three(self, capsys):
+        # psi_1 = 0 on [2, 3): the output must stay strict JSON
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        rc, out, _ = run(capsys, "--format", "json", "explicit", "--x", "2")
+        assert rc == 0
+        row = json.loads(out, parse_constant=refuse)["rows"][0]
+        assert row["psi1_exact"] == 0.0 and row["rel_gap"] is None
 
     def test_zero_limit_is_validation_error(self, capsys, monkeypatch):
         # the empty table is refused before any sieving or counting
@@ -281,6 +305,29 @@ class TestExplicit:
         rc, _, err = run(capsys, "explicit", "--x", "1e4",
                          "--zeros", str(zp))
         assert rc == cli.EXIT_VALIDATION
+
+
+class TestVerify:
+    def test_failing_check_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.verify, "run_all", lambda scale: [
+            verify.CheckResult("good", True, "held"),
+            verify.CheckResult("bad", False, "broke")])
+        rc, out, _ = run(capsys, "verify")
+        assert rc == 1
+        lines = out.splitlines()
+        manifest_id = lines[0].rsplit("[manifest ", 1)[1].rstrip("]")
+        assert lines[0].startswith("[PASS] good: held (")
+        assert lines[1].startswith("[FAIL] bad: broke (")
+        assert all(line.endswith(f"[manifest {manifest_id}]")
+                   for line in lines[:2])
+        assert lines[2] == "1/2 checks passed"
+
+    def test_all_passing_exits_zero(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.verify, "run_all", lambda scale: [
+            verify.CheckResult("good", True, "held")] * 2)
+        rc, out, _ = run(capsys, "verify")
+        assert rc == 0
+        assert out.splitlines()[-1] == "2/2 checks passed"
 
 
 class TestInterval:

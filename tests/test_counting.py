@@ -59,6 +59,12 @@ class TestCountExact:
         assert (counting.count_exact(100, 500, base100).count
                 == counting.count_exact(100, 64, base100).count)
 
+    def test_large_k_is_reported_as_given(self, base100):
+        # K_CAP bounds the arithmetic, not the k a result reports
+        assert counting.count_exact(1000, 99, base100).k == 99
+        assert counting.cstar(1000, 99, base100).k == 99
+        assert counting.prime_power_correction(1000, 99, base100).k == 99
+
     def test_monotonicity_and_floor(self, base_1e4):
         prev = -1
         for x in range(1, 400):
@@ -153,6 +159,22 @@ class TestPrimePowerCorrection:
                     for p in trial_division_primes(x)
                     for m in range(1, arith.iroot(x // p, k) + 1))
                 assert lhs == pytest.approx(want, rel=1e-10)
+
+    def test_against_triple_loop(self, base_1e4):
+        # every (p, r >= 2, m) with p^r m^k <= x, enumerated in Python
+        for k in (2, 3):
+            for x in (100, 999, 5000, 10 ** 4):
+                terms = []
+                for p in trial_division_primes(math.isqrt(x)):
+                    pr = p * p
+                    while pr <= x:
+                        m = 1
+                        while pr * m ** k <= x:
+                            terms.append(math.log(p))
+                            m += 1
+                        pr *= p
+                got = counting.prime_power_correction(x, k, base_1e4).value
+                assert got == pytest.approx(math.fsum(terms), rel=1e-12)
 
     def test_scale_ratio_stays_bounded(self, base_1e4):
         for x in (10 ** 3, 10 ** 5, 10 ** 7):
