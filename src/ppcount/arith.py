@@ -1,13 +1,16 @@
 """Exact integer-side arithmetic: sieves, von Mangoldt values, psi and
-interval prime counts.
+prime counts.
 
 One odd-only Eratosthenes kernel, ``_segment_primes``, builds the base
 table (from the table up to its square root) and sieves every window.
 The table itself lists the proper prime powers p^r (r >= 2) it
 certifies, once (``PrimeTable.proper_powers``); every prime-power walk
-takes its slice of that list. All interval operations are segmented, so
+takes its slice of that list. Interval operations are segmented, so
 queries near 10^12 only ever need a base table of primes up to 10^6.
-Segments are processed and merged in a fixed order.
+Segments are processed and merged in a fixed order. The pi ladder of
+the counting module sieves nothing: ``prime_counts_at`` answers from
+the table, or above it from the Lucy_Hedgehog recurrence over the
+table's primes, which gives pi at every x // n at once.
 """
 
 from __future__ import annotations
@@ -65,6 +68,15 @@ class PrimeTable:
         n, p = np.concatenate(powers), np.concatenate(roots)
         order = np.argsort(n)
         return n[order], p[order]
+
+    @cached_property
+    def psi_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(n, cum): every prime power n <= limit, ascending, and
+        cum[j] = the sum of log p over the first j of them, summed in
+        long double (cum[0] = 0); built on first use."""
+        seg = _with_powers(self.primes, 0, self.limit, self)
+        return seg.n, np.cumsum(np.concatenate(([0.0], seg.log_p)),
+                                dtype=np.longdouble)
 
 
 @dataclass(frozen=True)
@@ -185,37 +197,74 @@ def prime_count_interval(lo: int, hi: int, base: PrimeTable, *,
 
 
 def prime_counts_at(thresholds, base: PrimeTable) -> np.ndarray:
-    """pi(t) for every t in ``thresholds``, via one growing sieve pass.
+    """pi(t) for every t in ``thresholds``, hi = max(thresholds).
 
-    Far cheaper than independent interval counts when many thresholds
-    share the range, e.g. the x // m**k ladder of the counting module.
+    Up to hi <= base.limit, one lookup in the table. Above it, every
+    threshold must be at most isqrt(hi) or of the form hi // n (so
+    t == hi // (hi // t)), as on the x // m**k ladder of the counting
+    module; any other raises DomainError. Then pi is read off the
+    Lucy_Hedgehog recurrence for hi, O(hi^(3/4)) time, O(hi^(1/2))
+    memory.
     """
     if len(thresholds) == 0:
         return np.zeros(0, dtype=np.int64)
     hi = int(max(thresholds))
     base.check_covers(hi)  # before the int64 cast
     ts = np.asarray(thresholds, dtype=np.int64)
-    if hi < 1:
-        return np.zeros(ts.shape, dtype=np.int64)
     if hi <= base.limit:
         return np.searchsorted(base.primes, ts, side="right").astype(np.int64)
-    order = np.unique(ts)
-    counts = np.zeros(order.size, dtype=np.int64)
-    running = 0
-    for s, e in _segments(0, hi, DEFAULT_SEGMENT_LENGTH):
-        ps = _segment_primes(s, e, base)
-        i0, i1 = np.searchsorted(order, [s, e], side="right")
-        counts[i0:i1] = running + np.searchsorted(ps, order[i0:i1],
-                                                  side="right")
-        running += len(ps)
-    return counts[np.searchsorted(order, ts)]
+    r = math.isqrt(hi)
+    above = ts > r
+    big = ts[above]
+    n = hi // big
+    off = hi // n != big
+    if off.any():
+        raise DomainError(f"threshold {big[off][0]} is neither "
+                          f"<= isqrt({hi}) nor of the form {hi} // n")
+    small, large = _lucy_counts(hi, base)
+    counts = small[np.clip(ts, 0, r)]
+    counts[above] = large[n]
+    return counts
+
+
+def _lucy_counts(hi: int, base: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
+    """(small, large): small[v] = pi(v) for v <= r = isqrt(hi) and
+    large[i] = pi(hi // i) for 1 <= i <= r.
+
+    Both start as S(v) = v - 1, the count of 2..v; each table prime
+    p <= r in turn strikes the numbers whose least prime factor is p,
+    S(v) -= S(v // p) - S(p - 1) for v >= p*p. One numpy expression
+    updates each array: its right-hand side is evaluated before the
+    assignment, so it reads S as it was before p.
+    """
+    r = math.isqrt(hi)
+    idx = np.arange(r + 1, dtype=np.int64)
+    small = np.maximum(idx - 1, 0)
+    large = np.zeros(r + 1, dtype=np.int64)
+    large[1:] = hi // idx[1:] - 1
+    for p in base.primes[: bisect_right(base.primes, r)].tolist():
+        sp, top = small[p - 1], min(r, hi // (p * p))
+        # hi // i // p = hi // (i*p): large[i*p] while i*p <= r
+        mid = min(top, r // p)
+        large[1: mid + 1] -= large[p: mid * p + 1: p] - sp
+        large[mid + 1: top + 1] -= (
+            small[hi // (idx[mid + 1: top + 1] * p)] - sp)
+        if p * p <= r:
+            small[p * p:] -= small[idx[p * p:] // p] - sp
+    return small, large
 
 
 def lambda_segment(lo: int, hi: int, base: PrimeTable) -> LambdaSegment:
     """All n in (lo, hi] with Lambda(n) != 0, with log p: the primes of
     one sieve of (lo, hi] and the table's proper prime powers there."""
     _check_interval(lo, hi, base)
-    primes = _segment_primes(lo, hi, base)
+    return _with_powers(_segment_primes(lo, hi, base), lo, hi, base)
+
+
+def _with_powers(primes: np.ndarray, lo: int, hi: int,
+                 base: PrimeTable) -> LambdaSegment:
+    """The primes of (lo, hi] merged with the table's proper prime
+    powers there."""
     n, p = base.proper_powers
     i0, i1 = np.searchsorted(n, [lo, hi], side="right")
     at = np.searchsorted(primes, n[i0:i1])
@@ -245,7 +294,9 @@ def psi(x, base: PrimeTable) -> float:
 
 
 def weighted_lambda_sums_at(thresholds, base: PrimeTable) -> np.ndarray:
-    """psi(t) for each threshold, in one segmented pass.
+    """psi(t) for each threshold: up to hi = max(thresholds) <=
+    base.limit, one lookup in ``PrimeTable.psi_table``; above it, one
+    segmented pass.
 
     Whole segments are summed with np.sum and merged with math.fsum; a
     threshold adds its own segment's cumulative sum, taken in extended
@@ -259,8 +310,9 @@ def weighted_lambda_sums_at(thresholds, base: PrimeTable) -> np.ndarray:
     hi = int(max(thresholds))
     base.check_covers(hi)  # before the int64 cast
     ts = np.asarray(thresholds, dtype=np.int64)
-    if hi < 2:
-        return np.zeros(ts.shape, dtype=np.float64)
+    if hi <= base.limit:
+        n, cum = base.psi_table
+        return cum[np.searchsorted(n, ts, side="right")].astype(np.float64)
     order = np.unique(ts)
     vals = np.zeros(order.size, dtype=np.float64)
     running: list[float] = []

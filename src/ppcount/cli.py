@@ -40,8 +40,12 @@ ZEROS_ENV_VAR = "PPC_ZEROS_PATH"
 
 CSV_SCHEMA_VERSION = "2"
 
-# the largest x (x_max for sweep, h for interval) a command sieves
+# the largest x (h for interval) a command sieves
 DEFAULT_SIEVE_CEILING = 10 ** 10
+
+# count and sweep sieve only their base table, to sqrt(x): they accept
+# x (x_max for sweep) up to this many times the sieve ceiling
+LADDER_REACH = 100
 
 # np.logspace allocates the whole grid before the first count
 MAX_SWEEP_POINTS = 10 ** 4
@@ -157,10 +161,13 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _check_ceiling(name: str, n, settings: Settings) -> None:
-    """CapacityError, before any sieving, when n passes sieve_ceiling."""
-    if n > settings.sieve_ceiling:
-        raise CapacityError(f"{name} = {n} beyond sieve ceiling "
+def _check_ceiling(name: str, n, settings: Settings,
+                   reach: int = 1) -> None:
+    """CapacityError, before any sieving, when n passes reach times
+    sieve_ceiling."""
+    if n > reach * settings.sieve_ceiling:
+        times = f"{reach} * " if reach > 1 else ""
+        raise CapacityError(f"{name} = {n} beyond {times}sieve ceiling "
                             f"{settings.sieve_ceiling}")
 
 
@@ -172,7 +179,7 @@ def _base_for(x: int) -> arith.PrimeTable:
 
 def cmd_count(args, settings: Settings) -> int:
     x, k = args.x, args.k
-    _check_ceiling("x", x, settings)
+    _check_ceiling("x", x, settings, LADDER_REACH)
     results = []
     if args.method != "exact":
         # first: the oracle refuses x past its own ceiling before it
@@ -194,7 +201,7 @@ def cmd_sweep(args, settings: Settings) -> int:
     if not 1 <= args.x_min <= args.x_max:
         raise DomainError("sweep needs 1 <= x_min <= x_max, got "
                           f"x_min = {args.x_min}, x_max = {args.x_max}")
-    _check_ceiling("x_max", args.x_max, settings)
+    _check_ceiling("x_max", args.x_max, settings, LADDER_REACH)
     grid = np.unique(np.logspace(math.log10(args.x_min),
                                  math.log10(args.x_max),
                                  args.points).astype(np.int64))

@@ -4,8 +4,10 @@ against the zeta(k) * li(x) main term, and short-interval deviations
 against the per-m main term (analytic.interval_main_term).
 
 Two independent routes compute the headline count: summing pi(x / m^k)
-over m (count_exact) and classifying each n <= x by the primality of
-its k-free part (count_oracle). They must agree exactly.
+over m (count_exact, every pi from the table or from the Lucy_Hedgehog
+recurrence of arith.prime_counts_at) and classifying each n <= x by the
+primality of its k-free part (count_oracle, with its own sieve). They
+must agree exactly.
 """
 
 from __future__ import annotations
@@ -85,11 +87,12 @@ def annotate_count(x: int, k: int, count: int,
 def count_exact(x: int, k: int, base: PrimeTable) -> CountResult:
     """C_k(x) as sum over m <= x^(1/k) of pi(x // m^k).
 
-    The pi ladder is resolved in one growing segmented-sieve pass, so
-    the dominant m = 1 term shares work with all smaller thresholds.
+    Every threshold has the form x // n, so one call of
+    arith.prime_counts_at resolves the whole ladder: a table lookup for
+    x <= base.limit, else one Lucy_Hedgehog recurrence for x, in
+    O(x^(3/4)) time and O(x^(1/2)) memory, which sieves nothing.
     """
-    # m descending <=> thresholds ascending
-    counts = arith.prime_counts_at(x // _m_powers(x, k, base)[::-1], base)
+    counts = arith.prime_counts_at(x // _m_powers(x, k, base), base)
     return annotate_count(x, k, int(np.sum(counts)))
 
 

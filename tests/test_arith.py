@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -160,13 +161,46 @@ class TestPrimeCountInterval:
 
 class TestPrimeCountsAt:
     def test_matches_interval_counts(self, base_1e4):
-        # the last four cross the 2^20 segment boundaries
-        thresholds = [0, 1, 2, 100, 5000, 9999, 9999, 37, 2 ** 20 - 1,
-                      2 ** 20, 2 ** 20 + 1, 2 ** 21 + 777]
+        # above the table every threshold is <= isqrt(hi) or hi // n;
+        # the ladder crosses the 2^20 segment boundaries of the interval
+        # route it is checked against
+        hi = 2 ** 21 + 777
+        r = math.isqrt(hi)
+        thresholds = ([0, 1, 2, 37, 37] + list(range(r + 1))
+                      + [hi // n for n in range(1, r + 1)]
+                      + [hi // n for n in (r + 1, 2 * r, 10 ** 4, hi)])
+        random.Random(15).shuffle(thresholds)
         got = arith.prime_counts_at(thresholds, base_1e4)
         want = [0 if t < 2 else arith.prime_count_interval(1, t, base_1e4)
                 for t in thresholds]
         assert got.tolist() == want
+
+    @pytest.mark.parametrize("t", [2 ** 20, 2 ** 21 + 776, 5000])
+    def test_off_ladder_threshold_is_refused(self, base_1e4, t):
+        hi = 2 ** 21 + 777
+        with pytest.raises(DomainError, match=f"threshold {t} "):
+            arith.prime_counts_at([hi, hi // 2, t, 5], base_1e4)
+
+    def test_quotients_near_1e9(self):
+        # spot values in 10^8..10^9 against the segmented interval
+        # route, chained over the sorted thresholds: pi(t_i) is the sum
+        # of prime_count_interval(t_(j-1), t_j) for j <= i
+        rng = random.Random(1509)
+        for hi in (10 ** 8 + rng.randrange(10 ** 6),
+                   6 * 10 ** 8 + rng.randrange(10 ** 6)):
+            base = arith.sieve_primes(math.isqrt(hi) + 1)
+            ns = sorted({*range(1, 40), *(m ** 2 for m in range(1, 200)),
+                         *(m ** 3 for m in range(1, 60)),
+                         *(rng.randrange(1, hi) for _ in range(40))})
+            ts = sorted({hi // n for n in ns})
+            got = arith.prime_counts_at(ts[::-1], base)[::-1]
+            want, prev = [], 1
+            for t in ts:
+                want.append((want[-1] if want else 0)
+                            + arith.prime_count_interval(prev, max(t, 1),
+                                                         base))
+                prev = max(t, 1)
+            assert got.tolist() == want, hi
 
     def test_empty(self, base100):
         assert arith.prime_counts_at([], base100).size == 0

@@ -154,6 +154,7 @@ class TestConfig:
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("argv", [
+        ["count", "--x", "1000000000001", "--k", "2"],
         ["cstar", "--x", "1e13", "--k", "2"],
         ["explicit", "--x", "1e12"],
         ["interval", "--x", "1e12", "--h", "1e12", "--k", "2"],
@@ -164,6 +165,24 @@ class TestConfig:
         rc, _, err = run(capsys, *argv)
         assert rc == cli.EXIT_CAPACITY
         assert f"sieve ceiling {cli.DEFAULT_SIEVE_CEILING}" in err
+
+    def test_ladder_reaches_1e12(self, capsys, monkeypatch, tmp_path):
+        # count and sweep sieve only to sqrt(x): 100 times the ceiling
+        seen = []
+
+        def fake_count_exact(x, k, base):
+            seen.append(x)
+            return counting.annotate_count(x, k, 0)
+
+        monkeypatch.setattr(cli.counting, "count_exact", fake_count_exact)
+        rc, out, _ = run(capsys, "--format", "json",
+                         "count", "--x", "1e12", "--k", "2")
+        assert rc == 0 and json.loads(out)["rows"][0]["x"] == 10 ** 12
+        rc, _, _ = run(capsys, "sweep", "--k", "2", "--x-min", "1e11",
+                       "--x-max", "1e12", "--points", "2",
+                       "--output", str(tmp_path / "s.csv"))
+        assert rc == 0
+        assert seen == [10 ** 12, 10 ** 11, 10 ** 12]
 
     @pytest.mark.parametrize("argv, code, text", [
         (["interval", "--x", "1e9", "--h", "1e3", "--k", "2",

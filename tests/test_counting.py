@@ -53,6 +53,24 @@ class TestCountExact:
                 assert (counting.count_exact(x, k, base_1e4).count
                         == counting.count_oracle(x, k))
 
+    def test_lucy_route_against_oracle(self):
+        # each x on its minimal base, sieve_primes(isqrt(x) + 1), so
+        # every x >= 3 takes the Lucy route of prime_counts_at, never
+        # the table lookup
+        rng = random.Random(15)
+        xs = list(range(1, 401)) + rng.sample(range(401, 2 * 10 ** 5), 200)
+        bases = {}
+        for x in xs:
+            limit = math.isqrt(x) + 1
+            if limit not in bases:
+                bases[limit] = arith.sieve_primes(limit)
+        for k in (2, 3, 4, 5):
+            prefix = counting.count_oracle_prefix(2 * 10 ** 5, k)
+            for x in xs:
+                base = bases[math.isqrt(x) + 1]
+                assert (counting.count_exact(x, k, base).count
+                        == prefix[x]), (x, k)
+
     def test_large_k_saturates(self, base100):
         # beyond k = 64 only m = 1 can contribute, so C_k(x) = pi(x)
         assert counting.count_exact(100, 500, base100).count == 25
