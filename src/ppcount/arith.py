@@ -240,17 +240,18 @@ def _lucy_counts(hi: int, base: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
     r = math.isqrt(hi)
     idx = np.arange(r + 1, dtype=np.int64)
     small = np.maximum(idx - 1, 0)
-    large = np.zeros(r + 1, dtype=np.int64)
-    large[1:] = hi // idx[1:] - 1
+    q = hi // np.maximum(idx, 1)  # q[i] = hi // i for i >= 1
+    large = q - 1
     for p in base.primes[: bisect_right(base.primes, r)].tolist():
         sp, top = small[p - 1], min(r, hi // (p * p))
         # hi // i // p = hi // (i*p): large[i*p] while i*p <= r
         mid = min(top, r // p)
         large[1: mid + 1] -= large[p: mid * p + 1: p] - sp
-        large[mid + 1: top + 1] -= (
-            small[hi // (idx[mid + 1: top + 1] * p)] - sp)
+        large[mid + 1: top + 1] -= small[q[mid + 1: top + 1] // p] - sp
         if p * p <= r:
-            small[p * p:] -= small[idx[p * p:] // p] - sp
+            # small[v // p] for v = p*p .. r: each v // p comes p times
+            small[p * p:] -= (np.repeat(small[p: r // p + 1], p)
+                              [: r + 1 - p * p] - sp)
     return small, large
 
 
