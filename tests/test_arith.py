@@ -181,7 +181,7 @@ class TestPrimeCountsAt:
         with pytest.raises(DomainError, match=f"threshold {t} "):
             arith.prime_counts_at([hi, hi // 2, t, 5], base_1e4)
 
-    def test_quotients_near_1e9(self):
+    def test_quotients_from_1e8_to_1e9(self):
         # spot values in 10^8..10^9 against the segmented interval
         # route, chained over the sorted thresholds: pi(t_i) is the sum
         # of prime_count_interval(t_(j-1), t_j) for j <= i
