@@ -119,17 +119,17 @@ def interval_main_term(x: int, h: int, k: int) -> float:
     log_top = math.log(x + h)
     log2 = math.log(2.0)
     full_width = math.log1p(h / x)  # in log t, shared by unclipped windows
-    # the m = 1 window is the widest; all windows get the same panels
-    widest = min(full_width, log_top - log2)
-    panels = math.ceil(widest / _GL_PANEL_WIDTH)
-    n = max(1, math.ceil(8 * math.log(10)
-                         / math.log(3.2 * panels / widest)))
-    nodes, weights = _gauss_legendre(n)
     total = 0.0
     for start in range(1, mmax + 1, _MAIN_TERM_BLOCK):
         m = np.arange(start, min(start + _MAIN_TERM_BLOCK, mmax + 1),
                       dtype=np.float64)
         top = log_top - k * np.log(m)
+        # sized by its first, widest window; rounding can make that <= 0
+        widest = max(min(full_width, top[0] - log2), math.ulp(log_top))
+        panels = math.ceil(widest / _GL_PANEL_WIDTH)
+        n = max(1, math.ceil(8 * math.log(10)
+                             / math.log(3.2 * panels / widest)))
+        nodes, weights = _gauss_legendre(n)
         half = np.minimum(full_width, top - log2) / (2 * panels)
         acc = np.zeros_like(top)
         for j in range(panels):

@@ -32,6 +32,10 @@ DEFAULT_SIEVE_BUDGET = 10 ** 8
 # than the base prime list.
 MR_WINDOW = 64
 
+# The Lucy recurrence's int64 arrays take 184 MB at hi = 10^13; this
+# bound on isqrt(hi) caps hi near 10^14, about 0.5 GB
+LUCY_ROOT_LIMIT = 10 ** 7
+
 # Miller-Rabin to the prime bases up to 41 is deterministic below psi_13;
 # up to 37, only below psi_12 = 318665857834031151167461, a composite.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -204,7 +208,7 @@ def prime_counts_at(thresholds, base: PrimeTable) -> np.ndarray:
     t == hi // (hi // t)), as on the x // m**k ladder of the counting
     module; any other raises DomainError. Then pi is read off the
     Lucy_Hedgehog recurrence for hi, O(hi^(3/4)) time, O(hi^(1/2))
-    memory.
+    memory; CapacityError once isqrt(hi) passes LUCY_ROOT_LIMIT.
     """
     if len(thresholds) == 0:
         return np.zeros(0, dtype=np.int64)
@@ -214,6 +218,10 @@ def prime_counts_at(thresholds, base: PrimeTable) -> np.ndarray:
     if hi <= base.limit:
         return np.searchsorted(base.primes, ts, side="right").astype(np.int64)
     r = math.isqrt(hi)
+    if r > LUCY_ROOT_LIMIT:
+        raise CapacityError(f"pi ladder to {hi} needs the Lucy recurrence "
+                            f"to isqrt {r}, beyond its bound "
+                            f"{LUCY_ROOT_LIMIT}")
     above = ts > r
     big = ts[above]
     n = hi // big

@@ -1,10 +1,11 @@
 """Command-line surface.
 
 Subcommands: count, sweep, cstar, explicit, interval, zeros-stats,
-fetch-zeros, verify. Output defaults to a human-readable table; --format
-csv or json makes it machine-readable. File-producing commands write a
-JSON manifest sidecar (<output>.manifest.json); their CSV rows carry no
-manifest id, which is in the sidecar and in the printed summary line.
+fetch-zeros, verify. count, cstar, explicit, interval and zeros-stats
+print rows as a table, or as csv or json with --format; whatever it says,
+sweep writes CSV plus a JSON manifest sidecar (<output>.manifest.json),
+verify prints status lines and fetch-zeros writes a table file. The sweep
+rows carry no manifest id, which is in the sidecar and the summary line.
 Printed rows carry it as a column (table, csv) or in the manifest (json).
 
 Exit codes: 2 usage, 3 capacity, 4 I/O, 5 network, 6 validation.

@@ -12,7 +12,10 @@ down numerically.
 
 psi_1 and both sieve routes to S_Delta walk the prime powers once,
 one segment at a time, and fsum what they stream, so memory stays at
-one segment.
+one segment. Each psi_1 term (x - n) * log p streams exactly: x - n is
+exact, and one error-free transform, a Dekker two-product, keeps the
+product's rounding error, which the cancellation of psi_1 values near
+x^2/2 down to order h in S_Delta would otherwise expose.
 
 Zero sums pair each rho = 1/2 + i*gamma with its conjugate (computed as
 2*Re in real arithmetic) and accumulate with correctly rounded (fsum)
@@ -84,20 +87,16 @@ _SPLIT = 134217729.0
 def _psi1_term_arrays(x: float, seg: LambdaSegment) -> list[np.ndarray]:
     """Float arrays whose exact real sum is sum_{n<=x in seg} (x-n)*Lambda(n).
 
-    Each product (x - n) * log p is expanded with a branchless two-sum
-    (for the subtraction) and a Dekker two-product, so no information is
-    lost before a final exactly-rounded fsum. This matters for the
-    second difference in s_delta_via_psi1, where psi_1 values near x^2/2
-    cancel down to order h and naive rounding would dominate the result.
+    Needs x < 2^53. Each difference d = x - n is then exact: with
+    0 < n <= floor(x), ulp(x) <= 1, so x - n is a multiple of ulp(x) no
+    larger than x, hence a double. Only the product d * log p rounds,
+    and a Dekker two-product recovers its error, so no information is
+    lost before a final exactly-rounded fsum.
     """
     j = np.searchsorted(seg.n, math.floor(x), side="right")
     n = seg.n[:j].astype(np.float64)
     lp = seg.log_p[:j]
     d = x - n
-    # Knuth two-sum: d + derr == x - n exactly
-    bv = d - x
-    av = d - bv
-    derr = (x - av) + (-n - bv)
     p = d * lp
     # Dekker two-product: p + perr == d * lp exactly
     a1 = d * _SPLIT
@@ -107,7 +106,7 @@ def _psi1_term_arrays(x: float, seg: LambdaSegment) -> list[np.ndarray]:
     bh = b1 - (b1 - lp)
     bl = lp - bh
     perr = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return [p, perr, derr * lp]
+    return [p, perr]
 
 
 def _psi1_sum(signed, base: PrimeTable) -> float:
@@ -147,8 +146,8 @@ def s_delta_via_psi1(x: float, h: float, delta: float,
 
     Must agree with s_delta_direct to rounding. The four psi_1 sums
     share one walk over the prime powers and are combined term-exactly
-    (one fsum over all signed compensated terms), so the cancellation of
-    the x^2/2-sized main terms costs no precision.
+    (one fsum over each signed product and its Dekker two-product error),
+    so the cancellation of the x^2/2-sized main terms costs no precision.
     """
     w = TrapezoidWeight(x=x, h=h, delta=delta)
     return _psi1_sum(w.ends, base) / delta

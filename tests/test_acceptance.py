@@ -40,3 +40,35 @@ def test_acceptance_criterion(number, description, check):
     print(f"[{status}] criterion {number}: {description} "
           f"-- {result.detail} ({result.elapsed_ms:.0f} ms)")
     assert result.passed, f"criterion {number}: {result.detail}"
+
+
+
+class TestRunAll:
+    def test_presets_run_their_checks_in_order(self, monkeypatch):
+        ran = []
+
+        def stub(name):
+            def check():
+                ran.append(name)
+                return verify.CheckResult(name, True, "stub")
+            return check
+
+        names = [c.__name__ for c in verify.SMALL_CHECKS]
+        monkeypatch.setattr(verify, "SMALL_CHECKS",
+                            tuple(stub(n) for n in names))
+        monkeypatch.setattr(verify, "check_short_interval",
+                            stub("check_short_interval"))
+        assert [r.name for r in verify.run_all("small")] == names
+        assert ran == names
+        ran.clear()
+        medium = names + ["check_short_interval"]
+        assert [r.name for r in verify.run_all("medium")] == medium
+        assert ran == medium
+        with pytest.raises(ValueError, match="large"):
+            verify.run_all("large")
+
+    def test_presets_cover_the_criteria(self):
+        # ppcount verify --scale medium runs exactly this suite's checks
+        checks = list(verify.SMALL_CHECKS) + [verify.check_short_interval]
+        assert len(set(checks)) == len(checks) == len(CRITERIA) == 9
+        assert set(checks) == {check for _, _, check in CRITERIA}

@@ -68,6 +68,17 @@ class TestIntervalMainTerm:
         assert analytic.interval_main_term(x, h, k) == pytest.approx(
             per_window_li(x, h, k), rel=1e-9)
 
+    @pytest.mark.parametrize("x,h,k", [
+        (1, 10 ** 8 - 1, 2),       # two blocks of m, each sized alone
+        (1, 10 ** 9 - 1, 3),
+        # the block from m = 4097 opens on (2, 2 + 4097^-5], a window
+        # that rounds to width <= 0 in log t
+        (4097 ** 5 + 1, 4097 ** 5, 5),
+    ])
+    def test_blocks_of_m(self, x, h, k):
+        assert analytic.interval_main_term(x, h, k) == pytest.approx(
+            per_window_li(x, h, k), rel=1e-9)
+
     def test_against_quadrature(self):
         # (5, 25], k = 2: windows (5, 25], (1.25, 6.25] and
         # (5/9, 25/9], the last two clipped to start at t = 2

@@ -181,6 +181,11 @@ class TestPrimeCountsAt:
         with pytest.raises(DomainError, match=f"threshold {t} "):
             arith.prime_counts_at([hi, hi // 2, t, 5], base_1e4)
 
+    def test_lucy_memory_bound(self):
+        r = arith.LUCY_ROOT_LIMIT + 1
+        with pytest.raises(CapacityError, match=str(arith.LUCY_ROOT_LIMIT)):
+            arith.prime_counts_at([r * r], arith.sieve_primes(r + 1))
+
     def test_quotients_from_1e8_to_1e9(self):
         # spot values in 10^8..10^9 against the segmented interval
         # route, chained over the sorted thresholds: pi(t_i) is the sum

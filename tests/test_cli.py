@@ -184,6 +184,15 @@ class TestConfig:
         assert rc == 0
         assert seen == [10 ** 12, 10 ** 11, 10 ** 12]
 
+    def test_lucy_bound_under_raised_ceiling(self, capsys, tmp_path):
+        cfg = tmp_path / "ppc.cfg"
+        cfg.write_text("sieve_ceiling = 1e13\n")
+        r = cli.arith.LUCY_ROOT_LIMIT + 1
+        rc, out, err = run(capsys, "--config", str(cfg),
+                           "count", "--x", str(r * r), "--k", "2")
+        assert rc == cli.EXIT_CAPACITY
+        assert out == "" and str(cli.arith.LUCY_ROOT_LIMIT) in err
+
     @pytest.mark.parametrize("argv, code, text", [
         (["interval", "--x", "1e9", "--h", "1e3", "--k", "2",
           "--with-zeros"], cli.EXIT_VALIDATION, "ordinates up to"),

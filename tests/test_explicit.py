@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,6 +89,24 @@ class TestPsi1Exact:
         with pytest.raises(DomainError):
             explicit.psi1_exact(0.5, base100)
 
+    def test_term_arrays_sum_exactly(self, base100):
+        # the arrays' exact sum is sum (t - n) * log p with no rounding:
+        # t - n is exact below 2^53 and the two-product keeps the rest
+        seg = arith.lambda_segment(0, 5000, base100)
+        rng = random.Random(16)
+        ts = [2.0, 2.5, 4999.5, 5000.0, 2.0 ** 40 + 0.5]
+        for i in range(26):
+            t = math.exp(rng.uniform(math.log(2.0), math.log(1e10)))
+            ts.append(float(math.floor(t)) if i % 2 else t)
+        assert sum(t != math.floor(t) for t in ts) >= 15
+        for t in ts:
+            got = sum(Fraction(v) for a in explicit._psi1_term_arrays(t, seg)
+                      for v in a.tolist())
+            want = sum((Fraction(t) - n) * Fraction(lp)
+                       for n, lp in zip(seg.n.tolist(), seg.log_p.tolist())
+                       if n <= t)
+            assert got == want, t
+
     def test_across_segments_against_dense(self):
         # (1, x] spans four 2^20 segments; the reference sets
         # Lambda(p^r) = log p densely from a complete prime table
@@ -150,6 +170,18 @@ class TestSDelta:
         explicit.s_delta_direct(x, h, d, base_1e4)
         assert sum(widths) == 3 * 2 ** 20 + 2000
         assert max(widths) <= arith.DEFAULT_SEGMENT_LENGTH
+
+    def test_left_end_at_zero(self, base_1e4, zeros10k):
+        # delta = h = x puts the trapezoid's left end x - delta at 0,
+        # an endpoint every route must skip
+        x = h = d = 1e4
+        a = explicit.s_delta_direct(x, h, d, base_1e4)
+        b = explicit.s_delta_via_psi1(x, h, d, base_1e4)
+        assert abs(a - b) / max(abs(a), 1.0) <= 1e-8
+        pred, _ = explicit.s_delta_via_zeros(x, h, d, zeros10k)
+        bd = explicit.zero_sum_breakdown(x, h, d, zeros10k)
+        assert math.isfinite(pred)
+        assert pred == pytest.approx(h + d - bd.total / d, rel=1e-12)
 
     def test_dominates_interval_psi(self, base_1e4):
         # weight is 1 on (x, x+h], so S_Delta >= psi(x+h) - psi(x)

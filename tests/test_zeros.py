@@ -25,6 +25,12 @@ class TestBuiltinTables:
         assert np.allclose(zeros10k.ordinates[:3],
                            [GAMMA_1, GAMMA_2, GAMMA_3], atol=1e-6)
 
+    def test_10k_against_first100(self, zeros100, zeros10k):
+        # first100 is correctly rounded to 9 decimals; the 10k table,
+        # bisected to 1e-9, may differ by one unit in the 9th decimal
+        gap = np.abs(zeros10k.ordinates[:100] - zeros100.ordinates)
+        assert gap.max() <= 1.1e-9
+
     def test_limit(self):
         t = zeros.builtin_table("10k", limit=100)
         assert len(t) == 100
