@@ -42,7 +42,6 @@ def test_acceptance_criterion(number, description, check):
     assert result.passed, f"criterion {number}: {result.detail}"
 
 
-
 class TestRunAll:
     def test_presets_run_their_checks_in_order(self, monkeypatch):
         ran = []

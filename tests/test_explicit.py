@@ -173,7 +173,7 @@ class TestSDelta:
 
     def test_left_end_at_zero(self, base_1e4, zeros10k):
         # delta = h = x puts the trapezoid's left end x - delta at 0,
-        # an endpoint every route must skip
+        # the endpoint the zero route skips: t^(rho+1) is 0 there
         x = h = d = 1e4
         a = explicit.s_delta_direct(x, h, d, base_1e4)
         b = explicit.s_delta_via_psi1(x, h, d, base_1e4)
