@@ -200,6 +200,17 @@ def prime_count_interval(lo: int, hi: int, base: PrimeTable, *,
                for s, e in _segments(lo, hi, seg_len))
 
 
+def check_lucy_reach(hi: int) -> None:
+    """CapacityError once isqrt(hi) passes LUCY_ROOT_LIMIT, where the
+    Lucy recurrence's arrays would pass about 0.5 GB. prime_counts_at
+    refuses through it; count and sweep call it before they sieve."""
+    r = math.isqrt(hi)
+    if r > LUCY_ROOT_LIMIT:
+        raise CapacityError(f"pi ladder to {hi} needs the Lucy recurrence "
+                            f"to isqrt {r}, beyond its bound "
+                            f"{LUCY_ROOT_LIMIT}")
+
+
 def prime_counts_at(thresholds, base: PrimeTable) -> np.ndarray:
     """pi(t) for every t in ``thresholds``, hi = max(thresholds).
 
@@ -217,11 +228,8 @@ def prime_counts_at(thresholds, base: PrimeTable) -> np.ndarray:
     ts = np.asarray(thresholds, dtype=np.int64)
     if hi <= base.limit:
         return np.searchsorted(base.primes, ts, side="right").astype(np.int64)
+    check_lucy_reach(hi)
     r = math.isqrt(hi)
-    if r > LUCY_ROOT_LIMIT:
-        raise CapacityError(f"pi ladder to {hi} needs the Lucy recurrence "
-                            f"to isqrt {r}, beyond its bound "
-                            f"{LUCY_ROOT_LIMIT}")
     above = ts > r
     big = ts[above]
     n = hi // big

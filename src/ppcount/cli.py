@@ -188,6 +188,7 @@ def cmd_count(args, settings: Settings) -> int:
         results.append(counting.annotate_count(
             x, k, counting.count_oracle(x, k), method="kfree-oracle"))
     if args.method != "oracle":
+        arith.check_lucy_reach(x)
         results.insert(0, counting.count_exact(x, k, _base_for(x)))
     rows = [{"x": x, "k": k, "count": r.count, "main_term": r.main_term,
              "normalized_error": r.normalized_error, "A": exponents(k),
@@ -206,6 +207,7 @@ def cmd_sweep(args, settings: Settings) -> int:
     grid = np.unique(np.logspace(math.log10(args.x_min),
                                  math.log10(args.x_max),
                                  args.points).astype(np.int64))
+    arith.check_lucy_reach(int(grid[-1]))
     base = _base_for(int(grid[-1]))
     rows = []
     for x in grid.tolist():

@@ -11,11 +11,13 @@ with coefficients (+, -, -, +); the direct-sum equality tests pin this
 down numerically.
 
 psi_1 and both sieve routes to S_Delta walk the prime powers once,
-one segment at a time, and fsum what they stream, so memory stays at
-one segment. Each psi_1 term (x - n) * log p streams exactly: x - n is
-exact, and one error-free transform, a Dekker two-product, keeps the
-product's rounding error, which the cancellation of psi_1 values near
-x^2/2 down to order h in S_Delta would otherwise expose.
+one segment at a time, so memory stays at one segment. Each psi_1 term
+(x - n) * log p is kept exactly: x - n is exact, and one error-free
+transform, a Dekker two-product, keeps the product's rounding error,
+which the cancellation of psi_1 values near x^2/2 down to order h in
+S_Delta would otherwise expose. Each segment's term arrays are reduced
+exactly in numpy to two floats per binary exponent (an exponent-indexed
+accumulator, as in Neal 2015), and one fsum rounds the total once.
 
 Zero sums pair each rho = 1/2 + i*gamma with its conjugate (computed as
 2*Re in real arithmetic) and accumulate with correctly rounded (fsum)
@@ -109,12 +111,36 @@ def _psi1_term_arrays(x: float, seg: LambdaSegment) -> list[np.ndarray]:
     return [p, perr]
 
 
+def _exact_parts(a: np.ndarray) -> np.ndarray:
+    """A few floats whose exact real sum is the exact real sum of ``a``:
+    two per binary exponent present in ``a``.
+
+    Needs finite values, no subnormals, |a| < 2^900 and fewer than 2^26
+    values. A Veltkamp split writes each value with exponent e (as
+    frexp gives it) as hi + lo, hi a multiple of 2^(e-26) and lo of
+    2^(e-53), each at most 2^26 such units. Summed per exponent, the
+    halves stay below 2^52 units in every order, so each bucket sum is
+    exact in float64.
+    """
+    if a.size == 0:
+        return a
+    e = np.frexp(a)[1]
+    e -= e.min()
+    t = a * _SPLIT
+    hi = t - (t - a)
+    return np.concatenate((np.bincount(e, weights=hi),
+                           np.bincount(e, weights=a - hi)))
+
+
 def _psi1_sum(signed, base: PrimeTable) -> float:
     """The sum of sign * psi_1(t) over (sign, t) pairs, correctly rounded:
-    one walk over (1, floor(max t)] feeds every signed term to one fsum."""
+    one walk over (1, floor(max t)] reduces each segment's term arrays
+    exactly to a few floats per binary exponent, and one fsum rounds
+    their total once."""
     hi = max(math.floor(t) for _, t in signed)
     return math.fsum(chain.from_iterable(
-        (sign * a).tolist() for seg in lambda_segments(1, hi, base)
+        (sign * _exact_parts(a)).tolist()
+        for seg in lambda_segments(1, hi, base)
         for sign, t in signed for a in _psi1_term_arrays(t, seg)))
 
 
@@ -145,9 +171,10 @@ def s_delta_via_psi1(x: float, h: float, delta: float,
         (psi1(x+h+D) - psi1(x+h) - psi1(x) + psi1(x-D)) / D.
 
     Must agree with s_delta_direct to rounding. The four psi_1 sums
-    share one walk over the prime powers and are combined term-exactly
-    (one fsum over each signed product and its Dekker two-product error),
-    so the cancellation of the x^2/2-sized main terms costs no precision.
+    share one walk over the prime powers and are combined exactly (each
+    signed product and its Dekker two-product error, reduced per binary
+    exponent, then rounded once by one fsum), so the cancellation of the
+    x^2/2-sized main terms costs no precision.
     """
     w = TrapezoidWeight(x=x, h=h, delta=delta)
     return _psi1_sum(w.ends, base) / delta

@@ -184,14 +184,23 @@ class TestConfig:
         assert rc == 0
         assert seen == [10 ** 12, 10 ** 11, 10 ** 12]
 
-    def test_lucy_bound_under_raised_ceiling(self, capsys, tmp_path):
+    def test_lucy_bound_under_raised_ceiling(self, capsys, monkeypatch,
+                                             tmp_path):
+        # within 100 * sieve_ceiling, but past the Lucy recurrence's
+        # bound: refused before the base table to sqrt(x) is sieved
+        monkeypatch.setattr(cli.arith, "sieve_primes", None)
         cfg = tmp_path / "ppc.cfg"
         cfg.write_text("sieve_ceiling = 1e13\n")
+        out_csv = tmp_path / "s.csv"
         r = cli.arith.LUCY_ROOT_LIMIT + 1
-        rc, out, err = run(capsys, "--config", str(cfg),
-                           "count", "--x", str(r * r), "--k", "2")
-        assert rc == cli.EXIT_CAPACITY
-        assert out == "" and str(cli.arith.LUCY_ROOT_LIMIT) in err
+        for argv in (["count", "--x", str(r * r), "--k", "2"],
+                     ["sweep", "--k", "2", "--x-min", "1e6", "--x-max",
+                      "2e14", "--points", "3", "--output", str(out_csv)]):
+            rc, out, err = run(capsys, "--config", str(cfg), *argv)
+            assert rc == cli.EXIT_CAPACITY, argv
+            assert out == "" and "needs the Lucy recurrence" in err, argv
+            assert str(cli.arith.LUCY_ROOT_LIMIT) in err, argv
+        assert not out_csv.exists()
 
     @pytest.mark.parametrize("argv, code, text", [
         (["interval", "--x", "1e9", "--h", "1e3", "--k", "2",

@@ -107,6 +107,42 @@ class TestPsi1Exact:
                        if n <= t)
             assert got == want, t
 
+    def test_sum_is_correctly_rounded(self, base100):
+        # one endpoint and the four signed trapezoid endpoints: the float
+        # nearest the exact sum of sign * (t - n) * log p over the table's
+        # log p values, fractional and integral t alike
+        seg = arith.lambda_segment(0, 10 ** 4, base100)
+        terms = list(zip(seg.n.tolist(), seg.log_p.tolist()))
+
+        def exact_psi1(t):
+            return sum((Fraction(t) - n) * Fraction(lp) for n, lp in terms
+                       if n <= t)
+
+        cases = [((1.0, t),) for t in (2.0, 7.5, 1000.0, 4321.25, 4999.0)]
+        cases += [explicit.TrapezoidWeight(x, h, d).ends
+                  for x, h, d in ((1000.0, 100.0, 10.0), (2500.5, 40.0, 2.0),
+                                  (3000.0, 1500.0, 999.5), (17.0, 17.0, 16.0),
+                                  (1234.5678, 321.25, 7.125))]
+        for signed in cases:
+            want = float(sum(Fraction(sign) * exact_psi1(t)
+                             for sign, t in signed))
+            assert explicit._psi1_sum(signed, base100) == want, signed
+
+    def test_fsum_stream_stays_short(self, base_1e4, monkeypatch):
+        # the terms are reduced per binary exponent before fsum sees
+        # them: a few floats per term array, not one per prime power
+        fed = []
+        fsum = math.fsum
+
+        def counting_fsum(values):
+            values = list(values)
+            fed.append(len(values))
+            return fsum(values)
+
+        monkeypatch.setattr(explicit.math, "fsum", counting_fsum)
+        explicit.psi1_exact(10 ** 6 + 0.5, base_1e4)
+        assert fed and sum(fed) <= 2000
+
     def test_across_segments_against_dense(self):
         # (1, x] spans four 2^20 segments; the reference sets
         # Lambda(p^r) = log p densely from a complete prime table
@@ -122,6 +158,53 @@ class TestPsi1Exact:
         want = math.fsum(((x - n) * lam[n]).tolist())
         got = explicit.psi1_exact(x, arith.sieve_primes(2000))
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def exact_sum(values) -> Fraction:
+    """sum(Fraction(v) for v in values), as one integer over 2^1074."""
+    total = 0
+    for v in values:
+        n, d = v.as_integer_ratio()
+        total += n << (1075 - d.bit_length())
+    return Fraction(total, 1 << 1074)
+
+
+class TestExactParts:
+    @pytest.mark.parametrize("values", [
+        [],
+        [0.0, -0.0, 0.0, -0.0],
+        [0.0, -0.0, 1.5, -0.0, -2.25, 0.0],
+        [2.0 ** 60, 1.0, -2.0 ** 60, 2.0 ** -60],
+        [1.0, 2.0 ** -53, 2.0 ** -53, -1.0, 3.0 * 2.0 ** 52, -(2.0 ** 53)],
+    ])
+    def test_small_arrays(self, values):
+        a = np.array(values, dtype=np.float64)
+        parts = explicit._exact_parts(a)
+        assert exact_sum(parts.tolist()) == exact_sum(values)
+
+    def test_mixed_signs_and_exponents(self):
+        rng = np.random.default_rng(17)
+        k = np.repeat(np.arange(-80, 61), 50)
+        a = rng.uniform(0.5, 1.0, k.size) * 2.0 ** k
+        a *= rng.choice([-1.0, 1.0], k.size)
+        parts = explicit._exact_parts(a)
+        assert len(parts) == 2 * 141
+        assert exact_sum(parts.tolist()) == exact_sum(a.tolist())
+
+    def test_full_binade(self):
+        # every value at the top of one binade: the per-exponent sums
+        # of the halves are at their largest
+        a = np.full(2 ** 16, 1.0 - 2.0 ** -53)
+        a[1::3] = -np.nextafter(1.0, 0.0) / 1.5
+        parts = explicit._exact_parts(a)
+        assert exact_sum(parts.tolist()) == exact_sum(a.tolist())
+
+    def test_seeded_large_array(self):
+        rng = np.random.default_rng(2015)
+        a = (rng.standard_normal(2 ** 20)
+             * 2.0 ** rng.integers(-80, 61, 2 ** 20))
+        parts = explicit._exact_parts(a)
+        assert exact_sum(parts.tolist()) == exact_sum(a.tolist())
 
 
 class TestSDelta:
