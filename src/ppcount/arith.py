@@ -3,14 +3,19 @@ prime counts.
 
 One odd-only Eratosthenes kernel, ``_segment_primes``, builds the base
 table (from the table up to its square root) and sieves every window.
-The table itself lists the proper prime powers p^r (r >= 2) it
-certifies, once (``PrimeTable.proper_powers``); every prime-power walk
-takes its slice of that list. Interval operations are segmented, so
-queries near 10^12 only ever need a base table of primes up to 10^6.
-Segments are processed and merged in a fixed order. The pi ladder of
-the counting module sieves nothing: ``prime_counts_at`` answers from
-the table, or above it from the Lucy_Hedgehog recurrence over the
-table's primes, which gives pi at every x // n at once.
+It strikes in two orders: a base prime with many multiples in the
+window takes its own slice, and the sparse ones (most of them, in a
+window far above the table) are struck together, rank by rank, as in
+Bays and Hudson's segmented sieve (BIT 17, 1977), so no Python loop
+turn goes to a prime that strikes only a few times. The table itself
+lists the proper prime powers p^r (r >= 2) it certifies, once
+(``PrimeTable.proper_powers``); every prime-power walk takes its slice
+of that list. Interval operations are segmented, so queries near 10^12
+only ever need a base table of primes up to 10^6. Segments are
+processed and merged in a fixed order. The pi ladder of the counting
+module sieves nothing: ``prime_counts_at`` answers from the table, or
+above it from the Lucy_Hedgehog recurrence over the table's primes,
+which gives pi at every x // n at once.
 """
 
 from __future__ import annotations
@@ -31,6 +36,10 @@ DEFAULT_SIEVE_BUDGET = 10 ** 8
 # testing instead of sieving; cheaper once the window is much shorter
 # than the base prime list.
 MR_WINDOW = 64
+
+# A base prime that strikes a sieve window at most this many times is
+# struck rank by rank with the other such primes, not by its own slice.
+_FEW_STRIKES = 32
 
 # The Lucy recurrence's int64 arrays take 184 MB at hi = 10^13; this
 # bound on isqrt(hi) caps hi near 10^14, about 0.5 GB
@@ -161,7 +170,12 @@ def _segment_primes(lo: int, hi: int, base: PrimeTable) -> np.ndarray:
     """Primes in (lo, hi] by odd-only sieving with the base table: the
     mask holds the odd candidates from o0 = max(3, first odd > lo), and
     each odd base prime p <= sqrt(hi) strikes its odd multiples from
-    max(p*p, o0) on; a p with none in the mask costs no loop turn."""
+    max(p*p, o0) on; a p with none in the mask is dropped first.
+
+    Two strike orders share the mask. A prime that strikes more than
+    _FEW_STRIKES times takes one slice assignment, a loop turn per
+    prime; the others are struck rank by rank, one numpy assignment per
+    rank for all of them at once, so at most _FEW_STRIKES turns."""
     o0 = max(3, (lo + 1) | 1)
     n_odds = max(0, (hi - o0) // 2 + 1)
     mask = np.ones(n_odds, dtype=bool)
@@ -169,8 +183,16 @@ def _segment_primes(lo: int, hi: int, base: PrimeTable) -> np.ndarray:
     # mask index of p * m, m the least odd m >= max(p, o0 / p)
     js = ((np.maximum(ps, -(-o0 // ps)) | 1) * ps - o0) // 2
     hit = js < n_odds
-    for p, j in zip(ps[hit].tolist(), js[hit].tolist()):
+    ps, js = ps[hit], js[hit]
+    few = js + _FEW_STRIKES * ps >= n_odds
+    for p, j in zip(ps[~few].tolist(), js[~few].tolist()):
         mask[j::p] = False
+    ps, js = ps[few], js[few]
+    while js.size:
+        mask[js] = False
+        js = js + ps
+        keep = js < n_odds
+        ps, js = ps[keep], js[keep]
     two = np.array([2] if lo < 2 <= hi else [], dtype=np.int64)
     return np.concatenate((two, o0 + 2 * np.flatnonzero(mask)))
 

@@ -196,6 +196,15 @@ def cmd_count(args, settings: Settings) -> int:
     return _emit(rows, args, settings)
 
 
+def _sweep_grid(x_min: int, x_max: int, points: int) -> np.ndarray:
+    """Distinct integers nearest to ``points`` log-spaced values from
+    x_min to x_max, ascending; rounding, not truncation, keeps both
+    ends exactly as given."""
+    return np.unique(np.rint(np.logspace(math.log10(x_min),
+                                         math.log10(x_max),
+                                         points)).astype(np.int64))
+
+
 def cmd_sweep(args, settings: Settings) -> int:
     if not 2 <= args.points <= MAX_SWEEP_POINTS:
         raise DomainError(f"sweep needs 2 <= points <= {MAX_SWEEP_POINTS}, "
@@ -204,9 +213,7 @@ def cmd_sweep(args, settings: Settings) -> int:
         raise DomainError("sweep needs 1 <= x_min <= x_max, got "
                           f"x_min = {args.x_min}, x_max = {args.x_max}")
     _check_ceiling("x_max", args.x_max, settings, LADDER_REACH)
-    grid = np.unique(np.logspace(math.log10(args.x_min),
-                                 math.log10(args.x_max),
-                                 args.points).astype(np.int64))
+    grid = _sweep_grid(args.x_min, args.x_max, args.points)
     arith.check_lucy_reach(int(grid[-1]))
     base = _base_for(int(grid[-1]))
     rows = []

@@ -27,6 +27,10 @@ K_CAP = 64
 
 ORACLE_CEILING = 10 ** 7
 
+# count_interval builds its windows for this many m at a time, about
+# 2 MB of int64 arrays
+_M_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class CountResult:
@@ -166,18 +170,29 @@ def prime_power_correction(x: int, k: int,
 
 def count_interval(x: int, h: int, k: int, base: PrimeTable, *,
                    seg_len: int = arith.DEFAULT_SEGMENT_LENGTH) -> int:
-    """#{n in (x, x+h] : n = p * m^k}, sieving only the per-m windows
-    (x // m^k, (x+h) // m^k]; nothing below x is ever sieved."""
+    """#{n in (x, x+h] : n = p * m^k}, counting only the per-m windows
+    (x // m^k, (x+h) // m^k]; nothing below x is ever sieved.
+
+    The coverage of x + h is checked first. The windows are built in
+    int64 for _M_BLOCK values of m at a time, and only the non-empty
+    ones reach arith.prime_count_interval: once m^k > h a window holds
+    at most one integer, and the empty ones, most of the m at large x,
+    cost no Python loop turn.
+    """
     k = _check_xk(x, k)
     if h < 1:
         raise DomainError(f"interval length h must be >= 1, got {h}")
+    base.check_covers(x + h)  # before the int64 windows
+    m_top = iroot(x + h, k)
     total = 0
-    for m in range(1, iroot(x + h, k) + 1):
-        mk = m ** k
+    for m0 in range(1, m_top + 1, _M_BLOCK):
+        mk = np.arange(m0, min(m0 + _M_BLOCK, m_top + 1),
+                       dtype=np.int64) ** k
         lo, hi = x // mk, (x + h) // mk
-        if hi > lo:
-            total += arith.prime_count_interval(
-                max(lo, 1), hi, base, seg_len=seg_len)
+        full = hi > lo
+        for a, b in zip(lo[full].tolist(), hi[full].tolist()):
+            total += arith.prime_count_interval(max(a, 1), b, base,
+                                                seg_len=seg_len)
     return total
 
 

@@ -77,6 +77,50 @@ class TestSegmentPrimes:
         want = [n for n in range(lo + 1, hi + 1) if arith.is_prime(n)]
         assert arith._segment_primes(lo, hi, base_1e6).tolist() == want
 
+    def test_both_strike_orders_near_1e12(self, base_1e6):
+        # 50 000 odd candidates: the primes below 1 563 strike more than
+        # _FEW_STRIKES times, the rest of the primes to 10^6 at most that
+        lo, hi = 10 ** 12 - 37, 10 ** 12 + 100_000
+        want = [n for n in range(lo + 1, hi + 1) if arith.is_prime(n)]
+        assert arith._segment_primes(lo, hi, base_1e6).tolist() == want
+
+    @pytest.mark.parametrize("limit", [100, 10 ** 3, 10 ** 4, 10 ** 5])
+    def test_seeded_windows_against_is_prime(self, limit):
+        base = arith.sieve_primes(limit)
+        rng = random.Random(limit)
+        widest = min(7 * 10 ** 4, limit * limit // 2)
+        for _ in range(12):
+            width = int(10 ** rng.uniform(1, math.log10(widest)))
+            top = limit * limit - width
+            lo = int(10 ** rng.uniform(0, math.log10(top + 1))) - 1
+            got = arith._segment_primes(lo, lo + width, base).tolist()
+            assert got == [n for n in range(lo + 1, lo + width + 1)
+                           if arith.is_prime(n)], (lo, width)
+
+    # p = 1009 strikes its odd multiples from o0 = p * 2001 on, one
+    # every p odd candidates; hi is given as (odd multiple, offset)
+    @pytest.mark.parametrize("m_end, offset, strikes", [
+        (2063, 0, 32), (2065, -2, 32),   # 32: the last rank-struck count
+        (2065, 0, 33), (2065, 1, 33)])   # 33: p takes a slice
+    def test_strike_count_threshold(self, base_1e4, m_end, offset, strikes):
+        p, m0 = 1009, 2001
+        lo, hi = p * m0 - 1, p * m_end + offset
+        assert len(range(p * m0, hi + 1, 2 * p)) == strikes
+        assert arith._FEW_STRIKES == 32
+        want = [n for n in range(lo + 1, hi + 1) if arith.is_prime(n)]
+        assert arith._segment_primes(lo, hi, base_1e4).tolist() == want
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0, 10 ** 4),                   # 3 slices from 9, 97 is few from 97^2
+        (53 ** 2 - 2, 53 ** 2 + 4000),  # 53 slices from its square
+        (101 ** 2 - 50, 101 ** 2 + 5000),
+        (9973 ** 2 - 50, 9973 ** 2 + 5000),
+    ])
+    def test_first_strike_at_square(self, base100, base_1e4, lo, hi):
+        base = base100 if hi <= 100 ** 2 else base_1e4
+        want = [n for n in range(lo + 1, hi + 1) if arith.is_prime(n)]
+        assert arith._segment_primes(lo, hi, base).tolist() == want
+
 
 class TestIsPrime:
     def test_small(self):

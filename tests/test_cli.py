@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import random
 import sys
 import threading
 from importlib import metadata
@@ -279,6 +280,21 @@ class TestSweep:
                        "--x-max", "200", "--points", "1",
                        "--output", str(tmp_path / "o.csv"))
         assert rc == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("x_max", [74900082078727, (10 ** 7 + 1) ** 2])
+    def test_grid_ends_at_x_max(self, x_max):
+        # truncating the log-spaced floats gave x_max - 1 here
+        grid = cli._sweep_grid(100, x_max, 5).tolist()
+        assert grid[0] == 100 and grid[-1] == x_max
+        assert grid == sorted(set(grid))
+
+    def test_grid_ends_seeded(self):
+        rng = random.Random(2000)
+        for _ in range(2000):
+            x_min = rng.choice((1, 100, rng.randrange(1, 10 ** 6)))
+            x_max = rng.randrange(10 ** 6, 10 ** 14)
+            grid = cli._sweep_grid(x_min, x_max, rng.randrange(2, 50))
+            assert (grid[0], grid[-1]) == (x_min, x_max)
 
 
 class TestCstar:

@@ -223,6 +223,27 @@ class TestCountInterval:
         with pytest.raises(DomainError):
             counting.count_interval(100, 0, 2, base100)
 
+    def test_block_edge_against_lucy_difference(self):
+        # m = 2^16 ends the first block of m, m = 2^16 + 1 starts the
+        # next; both windows are (1, 2] and count p = 2
+        x, h, k = 2 ** 33 - 5, 10 ** 6, 2
+        assert counting._M_BLOCK == 2 ** 16
+        for m in (2 ** 16, 2 ** 16 + 1):
+            assert (x // m ** k, (x + h) // m ** k) == (1, 2)
+        base = arith.sieve_primes(math.isqrt(x + h) + 1)
+        want = (counting.count_exact(x + h, k, base).count
+                - counting.count_exact(x, k, base).count)
+        assert counting.count_interval(x, h, k, base) == want
+
+    def test_coverage_checked_first(self, base100, monkeypatch):
+        # refused before any window is built or sieved
+        monkeypatch.setattr(counting, "np", None)
+        monkeypatch.setattr(counting.arith, "prime_count_interval", None)
+        with pytest.raises(CoverageError):
+            counting.count_interval(9000, 1001, 2, base100)
+        with pytest.raises(CoverageError):
+            counting.count_interval(2 ** 64, 1, 2, base100)
+
 
 class TestTheorem3Experiment:
     def test_h_scaling_per_k(self):
