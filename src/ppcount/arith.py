@@ -4,10 +4,11 @@ prime counts.
 One odd-only Eratosthenes kernel, ``_segment_primes``, builds the base
 table (from the table up to its square root) and sieves every window.
 It strikes in two orders: a base prime with many multiples in the
-window takes its own slice, and the sparse ones (most of them, in a
-window far above the table) are struck together, rank by rank, as in
+window takes its own slice, and the sparse ones, once there are more of
+them than the rank loop has turns to pay for (most of the base, in a
+window far above the table), are struck together, rank by rank, as in
 Bays and Hudson's segmented sieve (BIT 17, 1977), so no Python loop
-turn goes to a prime that strikes only a few times. The table itself
+turn goes to each prime that strikes only a few times. The table itself
 lists the proper prime powers p^r (r >= 2) it certifies, once
 (``PrimeTable.proper_powers``); every prime-power walk takes its slice
 of that list. Interval operations are segmented, so queries near 10^12
@@ -38,8 +39,12 @@ DEFAULT_SIEVE_BUDGET = 10 ** 8
 MR_WINDOW = 64
 
 # A base prime that strikes a sieve window at most this many times is
-# struck rank by rank with the other such primes, not by its own slice.
+# sparse there. The sparse primes are struck together, rank by rank, once
+# they number more than _RANK_MIN: that loop's at most _FEW_STRIKES turns
+# of five numpy calls each cost about as much as 5 * _FEW_STRIKES slice
+# assignments. Fewer sparse primes take their slices.
 _FEW_STRIKES = 32
+_RANK_MIN = 5 * _FEW_STRIKES
 
 # The Lucy recurrence's int64 arrays take 184 MB at hi = 10^13; this
 # bound on isqrt(hi) caps hi near 10^14, about 0.5 GB
@@ -172,10 +177,15 @@ def _segment_primes(lo: int, hi: int, base: PrimeTable) -> np.ndarray:
     each odd base prime p <= sqrt(hi) strikes its odd multiples from
     max(p*p, o0) on; a p with none in the mask is dropped first.
 
-    Two strike orders share the mask. A prime that strikes more than
-    _FEW_STRIKES times takes one slice assignment, a loop turn per
-    prime; the others are struck rank by rank, one numpy assignment per
-    rank for all of them at once, so at most _FEW_STRIKES turns."""
+    Two strike orders share the mask. A prime takes one slice
+    assignment, a loop turn per prime, unless it strikes at most
+    _FEW_STRIKES times in a window with more than _RANK_MIN such sparse
+    primes; those are struck rank by rank, one numpy assignment per rank
+    for all of them at once, so at most _FEW_STRIKES turns. Windows far
+    above the table, where most base primes strike once or twice, take
+    the rank order; a full segment on a small base, or a window that
+    only the primes near sqrt(hi) strike sparsely (from p*p on), keeps
+    to slices."""
     o0 = max(3, (lo + 1) | 1)
     n_odds = max(0, (hi - o0) // 2 + 1)
     mask = np.ones(n_odds, dtype=bool)
@@ -185,14 +195,16 @@ def _segment_primes(lo: int, hi: int, base: PrimeTable) -> np.ndarray:
     hit = js < n_odds
     ps, js = ps[hit], js[hit]
     few = js + _FEW_STRIKES * ps >= n_odds
-    for p, j in zip(ps[~few].tolist(), js[~few].tolist()):
+    if np.count_nonzero(few) > _RANK_MIN:
+        rs, rj = ps[few], js[few]
+        ps, js = ps[~few], js[~few]
+        while rj.size:
+            mask[rj] = False
+            rj = rj + rs
+            keep = rj < n_odds
+            rs, rj = rs[keep], rj[keep]
+    for p, j in zip(ps.tolist(), js.tolist()):
         mask[j::p] = False
-    ps, js = ps[few], js[few]
-    while js.size:
-        mask[js] = False
-        js = js + ps
-        keep = js < n_odds
-        ps, js = ps[keep], js[keep]
     two = np.array([2] if lo < 2 <= hi else [], dtype=np.int64)
     return np.concatenate((two, o0 + 2 * np.flatnonzero(mask)))
 

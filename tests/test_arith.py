@@ -81,6 +81,7 @@ class TestSegmentPrimes:
         # 50 000 odd candidates: the primes below 1 563 strike more than
         # _FEW_STRIKES times, the rest of the primes to 10^6 at most that
         lo, hi = 10 ** 12 - 37, 10 ** 12 + 100_000
+        assert sparse_primes(lo, hi, base_1e6) > arith._RANK_MIN
         want = [n for n in range(lo + 1, hi + 1) if arith.is_prime(n)]
         assert arith._segment_primes(lo, hi, base_1e6).tolist() == want
 
@@ -97,29 +98,58 @@ class TestSegmentPrimes:
             assert got == [n for n in range(lo + 1, lo + width + 1)
                            if arith.is_prime(n)], (lo, width)
 
-    # p = 1009 strikes its odd multiples from o0 = p * 2001 on, one
-    # every p odd candidates; hi is given as (odd multiple, offset)
+    # p = 1009 strikes its odd multiples from o0 = p * m0 on, one every p
+    # odd candidates; hi is given as (odd multiple, offset). Near 10^12
+    # thousands of other base primes are sparse too, so the rank order runs.
     @pytest.mark.parametrize("m_end, offset, strikes", [
-        (2063, 0, 32), (2065, -2, 32),   # 32: the last rank-struck count
-        (2065, 0, 33), (2065, 1, 33)])   # 33: p takes a slice
-    def test_strike_count_threshold(self, base_1e4, m_end, offset, strikes):
-        p, m0 = 1009, 2001
-        lo, hi = p * m0 - 1, p * m_end + offset
+        (62, 0, 32), (64, -2, 32),   # 32: the last rank-struck count
+        (64, 0, 33), (64, 1, 33)])   # 33: p takes a slice
+    def test_strike_count_threshold(self, base_1e6, m_end, offset, strikes):
+        p = 1009
+        m0 = 10 ** 12 // p | 1
+        lo, hi = p * m0 - 1, p * (m0 + m_end) + offset
         assert len(range(p * m0, hi + 1, 2 * p)) == strikes
         assert arith._FEW_STRIKES == 32
+        assert sparse_primes(lo, hi, base_1e6) > arith._RANK_MIN
         want = [n for n in range(lo + 1, hi + 1) if arith.is_prime(n)]
-        assert arith._segment_primes(lo, hi, base_1e4).tolist() == want
+        assert arith._segment_primes(lo, hi, base_1e6).tolist() == want
 
-    @pytest.mark.parametrize("lo, hi", [
-        (0, 10 ** 4),                   # 3 slices from 9, 97 is few from 97^2
-        (53 ** 2 - 2, 53 ** 2 + 4000),  # 53 slices from its square
-        (101 ** 2 - 50, 101 ** 2 + 5000),
-        (9973 ** 2 - 50, 9973 ** 2 + 5000),
+    @pytest.mark.parametrize("lo, hi, ranked", [
+        (0, 10 ** 4, False),                    # 3 from 9, 97 from 97^2
+        (53 ** 2 - 2, 53 ** 2 + 4000, False),   # 53 from its square
+        (101 ** 2 - 50, 101 ** 2 + 5000, False),
+        (9973 ** 2 - 50, 9973 ** 2 + 5000, True),
     ])
-    def test_first_strike_at_square(self, base100, base_1e4, lo, hi):
+    def test_first_strike_at_square(self, base100, base_1e4, lo, hi,
+                                    ranked):
         base = base100 if hi <= 100 ** 2 else base_1e4
+        assert (sparse_primes(lo, hi, base) > arith._RANK_MIN) == ranked
         want = [n for n in range(lo + 1, hi + 1) if arith.is_prime(n)]
         assert arith._segment_primes(lo, hi, base).tolist() == want
+
+    @pytest.mark.parametrize("lo, hi", [
+        (10 ** 6, 10 ** 6 + 1000),      # 137 sparse primes
+        (3 * 10 ** 7, 3 * 10 ** 7 + 200),
+    ])
+    def test_few_sparse_primes_take_slices(self, base_1e4, lo, hi):
+        assert 0 < sparse_primes(lo, hi, base_1e4) <= arith._RANK_MIN
+        got = arith._segment_primes(lo, hi, base_1e4)
+        assert got.tolist() == [n for n in range(lo + 1, hi + 1)
+                                if arith.is_prime(n)]
+
+
+def sparse_primes(lo: int, hi: int, base) -> int:
+    """Odd base primes with 1 to _FEW_STRIKES odd multiples in (lo, hi]
+    from p * p on: the sieve's sparse primes, counted one by one."""
+    count = 0
+    for p in base.primes[1:].tolist():
+        if p * p > hi:
+            break
+        first = max(p * p, (lo // p + 1) * p)
+        first += p * (first % 2 == 0)
+        if 1 <= len(range(first, hi + 1, 2 * p)) <= arith._FEW_STRIKES:
+            count += 1
+    return count
 
 
 class TestIsPrime:
