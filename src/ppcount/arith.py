@@ -175,7 +175,7 @@ def _segment_primes(lo: int, hi: int, base: PrimeTable) -> np.ndarray:
     """Primes in (lo, hi] by odd-only sieving with the base table: the
     mask holds the odd candidates from o0 = max(3, first odd > lo), and
     each odd base prime p <= sqrt(hi) strikes its odd multiples from
-    max(p*p, o0) on; a p with none in the mask is dropped first.
+    max(p*p, o0) on; a p with none in the mask costs no loop turn.
 
     Two strike orders share the mask. A prime takes one slice
     assignment, a loop turn per prime, unless it strikes at most
@@ -183,9 +183,11 @@ def _segment_primes(lo: int, hi: int, base: PrimeTable) -> np.ndarray:
     primes; those are struck rank by rank, one numpy assignment per rank
     for all of them at once, so at most _FEW_STRIKES turns. Windows far
     above the table, where most base primes strike once or twice, take
-    the rank order; a full segment on a small base, or a window that
+    the rank order. A full segment on a small base, or a window that
     only the primes near sqrt(hi) strike sparsely (from p*p on), keeps
-    to slices."""
+    to slices with no array work beyond the hit filter: the sparse
+    primes are counted only once more than _RANK_MIN base primes lie
+    above n_odds / _FEW_STRIKES, where none strikes more often."""
     o0 = max(3, (lo + 1) | 1)
     n_odds = max(0, (hi - o0) // 2 + 1)
     mask = np.ones(n_odds, dtype=bool)
@@ -193,17 +195,19 @@ def _segment_primes(lo: int, hi: int, base: PrimeTable) -> np.ndarray:
     # mask index of p * m, m the least odd m >= max(p, o0 / p)
     js = ((np.maximum(ps, -(-o0 // ps)) | 1) * ps - o0) // 2
     hit = js < n_odds
-    ps, js = ps[hit], js[hit]
-    few = js + _FEW_STRIKES * ps >= n_odds
-    if np.count_nonzero(few) > _RANK_MIN:
-        rs, rj = ps[few], js[few]
-        ps, js = ps[~few], js[~few]
-        while rj.size:
-            mask[rj] = False
-            rj = rj + rs
-            keep = rj < n_odds
-            rs, rj = rs[keep], rj[keep]
-    for p, j in zip(ps.tolist(), js.tolist()):
+    # a p above n_odds / _FEW_STRIKES strikes at most _FEW_STRIKES times:
+    # count those by bisection before building the sparse mask
+    if ps.size - bisect_right(ps, n_odds // _FEW_STRIKES) > _RANK_MIN:
+        few = hit & (js + _FEW_STRIKES * ps >= n_odds)
+        if np.count_nonzero(few) > _RANK_MIN:
+            hit &= ~few
+            rs, rj = ps[few], js[few]
+            while rj.size:
+                mask[rj] = False
+                rj = rj + rs
+                keep = rj < n_odds
+                rs, rj = rs[keep], rj[keep]
+    for p, j in zip(ps[hit].tolist(), js[hit].tolist()):
         mask[j::p] = False
     two = np.array([2] if lo < 2 <= hi else [], dtype=np.int64)
     return np.concatenate((two, o0 + 2 * np.flatnonzero(mask)))

@@ -81,7 +81,7 @@ class TestSegmentPrimes:
         # 50 000 odd candidates: the primes below 1 563 strike more than
         # _FEW_STRIKES times, the rest of the primes to 10^6 at most that
         lo, hi = 10 ** 12 - 37, 10 ** 12 + 100_000
-        assert sparse_primes(lo, hi, base_1e6) > arith._RANK_MIN
+        assert ranked(lo, hi, base_1e6)
         want = [n for n in range(lo + 1, hi + 1) if arith.is_prime(n)]
         assert arith._segment_primes(lo, hi, base_1e6).tolist() == want
 
@@ -110,20 +110,20 @@ class TestSegmentPrimes:
         lo, hi = p * m0 - 1, p * (m0 + m_end) + offset
         assert len(range(p * m0, hi + 1, 2 * p)) == strikes
         assert arith._FEW_STRIKES == 32
-        assert sparse_primes(lo, hi, base_1e6) > arith._RANK_MIN
+        assert ranked(lo, hi, base_1e6)
         want = [n for n in range(lo + 1, hi + 1) if arith.is_prime(n)]
         assert arith._segment_primes(lo, hi, base_1e6).tolist() == want
 
-    @pytest.mark.parametrize("lo, hi, ranked", [
+    @pytest.mark.parametrize("lo, hi, rank_order", [
         (0, 10 ** 4, False),                    # 3 from 9, 97 from 97^2
         (53 ** 2 - 2, 53 ** 2 + 4000, False),   # 53 from its square
         (101 ** 2 - 50, 101 ** 2 + 5000, False),
         (9973 ** 2 - 50, 9973 ** 2 + 5000, True),
     ])
     def test_first_strike_at_square(self, base100, base_1e4, lo, hi,
-                                    ranked):
+                                    rank_order):
         base = base100 if hi <= 100 ** 2 else base_1e4
-        assert (sparse_primes(lo, hi, base) > arith._RANK_MIN) == ranked
+        assert ranked(lo, hi, base) == rank_order
         want = [n for n in range(lo + 1, hi + 1) if arith.is_prime(n)]
         assert arith._segment_primes(lo, hi, base).tolist() == want
 
@@ -136,6 +136,15 @@ class TestSegmentPrimes:
         got = arith._segment_primes(lo, hi, base_1e4)
         assert got.tolist() == [n for n in range(lo + 1, hi + 1)
                                 if arith.is_prime(n)]
+
+    def test_short_window_far_above_table(self, base_1e6):
+        # every base prime may be sparse in 50 odd candidates, but fewer
+        # than _RANK_MIN of them hit: the sparse mask is built, then unused
+        lo, hi = 10 ** 12, 10 ** 12 + 100
+        assert base_1e6.primes.size > arith._RANK_MIN
+        assert 0 < sparse_primes(lo, hi, base_1e6) <= arith._RANK_MIN
+        assert arith._segment_primes(lo, hi, base_1e6).tolist() == [
+            n for n in range(lo + 1, hi + 1) if arith.is_prime(n)]
 
 
 def sparse_primes(lo: int, hi: int, base) -> int:
@@ -150,6 +159,17 @@ def sparse_primes(lo: int, hi: int, base) -> int:
         if 1 <= len(range(first, hi + 1, 2 * p)) <= arith._FEW_STRIKES:
             count += 1
     return count
+
+
+def ranked(lo: int, hi: int, base) -> bool:
+    """Whether the sieve strikes the window's sparse primes rank by rank:
+    more than _RANK_MIN of them, and more than _RANK_MIN odd base primes
+    up to sqrt(hi) above n_odds / _FEW_STRIKES."""
+    n_odds = (hi - max(3, (lo + 1) | 1)) // 2 + 1
+    above = [p for p in base.primes[1:].tolist()
+             if n_odds // arith._FEW_STRIKES < p and p * p <= hi]
+    return (len(above) > arith._RANK_MIN
+            and sparse_primes(lo, hi, base) > arith._RANK_MIN)
 
 
 class TestIsPrime:
