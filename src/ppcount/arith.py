@@ -3,12 +3,13 @@ prime counts.
 
 One odd-only Eratosthenes kernel, ``_segment_primes``, builds the base
 table (from the table up to its square root) and sieves every window.
-It strikes in two orders: a base prime with many multiples in the
-window takes its own slice, and the sparse ones, once there are more of
-them than the rank loop has turns to pay for (most of the base, in a
-window far above the table), are struck together, rank by rank, as in
-Bays and Hudson's segmented sieve (BIT 17, 1977), so no Python loop
-turn goes to each prime that strikes only a few times. The table itself
+It strikes in two orders. The sparse base primes, those above 1/32 of
+the window's odd candidates and so striking it at most 32 times, are
+struck together, rank by rank, as in Bays and Hudson's segmented sieve
+(BIT 17, 1977), once more of them strike the window than the rank loop
+has turns to pay for (most of the base, in a window far above the
+table); every other prime takes its own slice. So no Python loop turn
+goes to each prime that strikes only a few times. The table itself
 lists the proper prime powers p^r (r >= 2) it certifies, once
 (``PrimeTable.proper_powers``); every prime-power walk takes its slice
 of that list. Interval operations are segmented, so queries near 10^12
@@ -38,11 +39,12 @@ DEFAULT_SIEVE_BUDGET = 10 ** 8
 # than the base prime list.
 MR_WINDOW = 64
 
-# A base prime that strikes a sieve window at most this many times is
-# sparse there. The sparse primes are struck together, rank by rank, once
-# they number more than _RANK_MIN: that loop's at most _FEW_STRIKES turns
-# of five numpy calls each cost about as much as 5 * _FEW_STRIKES slice
-# assignments. Fewer sparse primes take their slices.
+# A base prime above n_odds / _FEW_STRIKES, n_odds the window's odd
+# candidates, is sparse there: it strikes at most _FEW_STRIKES times. The
+# sparse primes are struck together, rank by rank, once more than
+# _RANK_MIN of them strike the window: that loop's at most _FEW_STRIKES
+# turns of five numpy calls each cost about as much as 5 * _FEW_STRIKES
+# slice assignments. Fewer sparse primes take their slices.
 _FEW_STRIKES = 32
 _RANK_MIN = 5 * _FEW_STRIKES
 
@@ -177,17 +179,17 @@ def _segment_primes(lo: int, hi: int, base: PrimeTable) -> np.ndarray:
     each odd base prime p <= sqrt(hi) strikes its odd multiples from
     max(p*p, o0) on; a p with none in the mask costs no loop turn.
 
-    Two strike orders share the mask. A prime takes one slice
-    assignment, a loop turn per prime, unless it strikes at most
-    _FEW_STRIKES times in a window with more than _RANK_MIN such sparse
-    primes; those are struck rank by rank, one numpy assignment per rank
-    for all of them at once, so at most _FEW_STRIKES turns. Windows far
-    above the table, where most base primes strike once or twice, take
-    the rank order. A full segment on a small base, or a window that
-    only the primes near sqrt(hi) strike sparsely (from p*p on), keeps
-    to slices with no array work beyond the hit filter: the sparse
-    primes are counted only once more than _RANK_MIN base primes lie
-    above n_odds / _FEW_STRIKES, where none strikes more often."""
+    Two strike orders share the mask, split by one rule. The sparse
+    primes are the suffix of the base above n_odds / _FEW_STRIKES, found
+    by one bisection; none strikes more than _FEW_STRIKES times. When
+    more than _RANK_MIN of them strike the window, they are struck rank
+    by rank, one numpy assignment per rank for all of them at once, so
+    at most _FEW_STRIKES turns; windows far above the table, where most
+    base primes strike once or twice, take this order. Every other
+    prime that strikes takes one slice assignment, a loop turn per
+    prime. A window that stays below the gate (a full segment on a
+    small base, or one that only the primes near sqrt(hi) strike, from
+    p*p on) builds no array beyond the hit filter."""
     o0 = max(3, (lo + 1) | 1)
     n_odds = max(0, (hi - o0) // 2 + 1)
     mask = np.ones(n_odds, dtype=bool)
@@ -195,18 +197,17 @@ def _segment_primes(lo: int, hi: int, base: PrimeTable) -> np.ndarray:
     # mask index of p * m, m the least odd m >= max(p, o0 / p)
     js = ((np.maximum(ps, -(-o0 // ps)) | 1) * ps - o0) // 2
     hit = js < n_odds
-    # a p above n_odds / _FEW_STRIKES strikes at most _FEW_STRIKES times:
-    # count those by bisection before building the sparse mask
-    if ps.size - bisect_right(ps, n_odds // _FEW_STRIKES) > _RANK_MIN:
-        few = hit & (js + _FEW_STRIKES * ps >= n_odds)
-        if np.count_nonzero(few) > _RANK_MIN:
-            hit &= ~few
-            rs, rj = ps[few], js[few]
-            while rj.size:
-                mask[rj] = False
-                rj = rj + rs
-                keep = rj < n_odds
-                rs, rj = rs[keep], rj[keep]
+    # the sparse primes ps[i0:] exceed n_odds / _FEW_STRIKES, so each
+    # strikes at most _FEW_STRIKES times
+    i0 = bisect_right(ps, n_odds // _FEW_STRIKES)
+    if np.count_nonzero(hit[i0:]) > _RANK_MIN:
+        rs, rj = ps[i0:][hit[i0:]], js[i0:][hit[i0:]]
+        hit[i0:] = False
+        while rj.size:
+            mask[rj] = False
+            rj = rj + rs
+            keep = rj < n_odds
+            rs, rj = rs[keep], rj[keep]
     for p, j in zip(ps[hit].tolist(), js[hit].tolist()):
         mask[j::p] = False
     two = np.array([2] if lo < 2 <= hi else [], dtype=np.int64)

@@ -213,9 +213,10 @@ def cmd_sweep(args, settings: Settings) -> int:
         raise DomainError("sweep needs 1 <= x_min <= x_max, got "
                           f"x_min = {args.x_min}, x_max = {args.x_max}")
     _check_ceiling("x_max", args.x_max, settings, LADDER_REACH)
+    # before the grid's int64 cast, which x_max past 2^63 would overflow
+    arith.check_lucy_reach(args.x_max)
     grid = _sweep_grid(args.x_min, args.x_max, args.points)
-    arith.check_lucy_reach(int(grid[-1]))
-    base = _base_for(int(grid[-1]))
+    base = _base_for(args.x_max)
     rows = []
     for x in grid.tolist():
         r = counting.count_exact(int(x), args.k, base)
