@@ -159,12 +159,15 @@ def iroot(n: int, r: int) -> int:
         return 0
     if r >= n.bit_length():
         return 1  # n < 2**r, and 2**r itself is never formed
-    a = int(round(n ** (1.0 / r)))
-    while a > 0 and a ** r > n:
-        a -= 1
-    while (a + 1) ** r <= n:
-        a += 1
-    return a
+    # the float root is good to a few ulps, far from a itself once a
+    # passes 2^53; Newton's integer step descends to a from any start
+    # above it, and this one is above it
+    a = int(n ** (1.0 / r) * (1 + 2.0 ** -40)) + 1
+    while True:
+        b = ((r - 1) * a + n // a ** (r - 1)) // r
+        if b >= a:
+            return a
+        a = b
 
 
 def _check_interval(lo: int, hi: int, base: PrimeTable) -> None:
