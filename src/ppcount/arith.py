@@ -159,9 +159,9 @@ def iroot(n: int, r: int) -> int:
         return 0
     if r >= n.bit_length():
         return 1  # n < 2**r, and 2**r itself is never formed
-    # the float root is good to a few ulps, far from a itself once a
-    # passes 2^53; Newton's integer step descends to a from any start
-    # above it, and this one is above it
+    # the float root is within a few ulps, many units once the root
+    # passes 2^53; Newton's integer step descends to the root from any
+    # start above it, and this start is above it
     a = int(n ** (1.0 / r) * (1 + 2.0 ** -40)) + 1
     while True:
         b = ((r - 1) * a + n // a ** (r - 1)) // r

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -98,20 +99,27 @@ class TestSegmentPrimes:
             assert got == [n for n in range(lo + 1, lo + width + 1)
                            if arith.is_prime(n)], (lo, width)
 
-    # p = 1009 strikes its odd multiples from o0 = p * m0 on, one every p
-    # odd candidates; hi is given as (odd multiple, offset). Near 10^12
-    # thousands of other base primes are sparse too, so the rank order runs.
-    @pytest.mark.parametrize("m_end, offset, strikes", [
-        (62, 0, 32), (64, -2, 32),   # 32: the last rank-struck count
-        (64, 0, 33), (64, 1, 33)])   # 33: p takes a slice
-    def test_strike_count_threshold(self, base_1e6, m_end, offset, strikes):
+    # Near 10^12 the window's n_odds odd candidates start at o0 = p * m0,
+    # and p = 1009 strikes every p-th of them from there. p is sparse when
+    # p > n_odds // _FEW_STRIKES: there it is rank-struck exactly 32 times,
+    # just above the bar; on it, p takes its slice. p's 32nd multiple,
+    # p * (m0 + 62), has no other factor below 10^6, so a rank loop cut
+    # short of its 32nd turn leaves it unstruck.
+    @pytest.mark.parametrize("n_odds, sparse, strikes", [
+        (32 * 1008, True, 32), (32 * 1008 + 31, True, 32),
+        (32 * 1009, False, 32), (32 * 1009 + 1, False, 33)])
+    def test_strike_count_threshold(self, base_1e6, n_odds, sparse,
+                                    strikes):
         p = 1009
-        m0 = 10 ** 12 // p | 1
-        lo, hi = p * m0 - 1, p * (m0 + m_end) + offset
-        assert len(range(p * m0, hi + 1, 2 * p)) == strikes
+        m0 = next(m for m in range(10 ** 12 // p | 1, 10 ** 12, 2)
+                  if arith.is_prime(m + 62))
+        lo, hi = p * m0 - 1, p * m0 + 2 * (n_odds - 1)
         assert arith._FEW_STRIKES == 32
+        assert (p > n_odds // arith._FEW_STRIKES) == sparse
+        assert len(range(p * m0, hi + 1, 2 * p)) == strikes
         assert ranked(lo, hi, base_1e6)
         want = [n for n in range(lo + 1, hi + 1) if arith.is_prime(n)]
+        assert p * (m0 + 62) <= hi and p * (m0 + 62) not in want
         assert arith._segment_primes(lo, hi, base_1e6).tolist() == want
 
     @pytest.mark.parametrize("lo, hi, rank_order", [
@@ -132,44 +140,39 @@ class TestSegmentPrimes:
         (3 * 10 ** 7, 3 * 10 ** 7 + 200),
     ])
     def test_few_sparse_primes_take_slices(self, base_1e4, lo, hi):
-        assert 0 < sparse_primes(lo, hi, base_1e4) <= arith._RANK_MIN
+        assert 0 < sparse_hits(lo, hi, base_1e4) <= arith._RANK_MIN
         got = arith._segment_primes(lo, hi, base_1e4)
         assert got.tolist() == [n for n in range(lo + 1, hi + 1)
                                 if arith.is_prime(n)]
 
     def test_short_window_far_above_table(self, base_1e6):
-        # every base prime may be sparse in 50 odd candidates, but fewer
-        # than _RANK_MIN of them hit: the sparse mask is built, then unused
+        # every base prime above 1 is sparse in 50 odd candidates, but
+        # at most _RANK_MIN of them hit: all take their slices
         lo, hi = 10 ** 12, 10 ** 12 + 100
         assert base_1e6.primes.size > arith._RANK_MIN
-        assert 0 < sparse_primes(lo, hi, base_1e6) <= arith._RANK_MIN
+        assert 0 < sparse_hits(lo, hi, base_1e6) <= arith._RANK_MIN
         assert arith._segment_primes(lo, hi, base_1e6).tolist() == [
             n for n in range(lo + 1, hi + 1) if arith.is_prime(n)]
 
 
-def sparse_primes(lo: int, hi: int, base) -> int:
-    """Odd base primes with 1 to _FEW_STRIKES odd multiples in (lo, hi]
-    from p * p on: the sieve's sparse primes, counted one by one."""
+def sparse_hits(lo: int, hi: int, base) -> int:
+    """The sieve's sparse primes that strike (lo, hi]: the odd base
+    primes up to sqrt(hi) above n_odds / _FEW_STRIKES (one bisection)
+    with an odd multiple in the window from p * p on."""
+    n_odds = (hi - max(3, (lo + 1) | 1)) // 2 + 1
+    ps = [p for p in base.primes[1:].tolist() if p * p <= hi]
     count = 0
-    for p in base.primes[1:].tolist():
-        if p * p > hi:
-            break
+    for p in ps[bisect_right(ps, n_odds // arith._FEW_STRIKES):]:
         first = max(p * p, (lo // p + 1) * p)
         first += p * (first % 2 == 0)
-        if 1 <= len(range(first, hi + 1, 2 * p)) <= arith._FEW_STRIKES:
-            count += 1
+        count += first <= hi
     return count
 
 
 def ranked(lo: int, hi: int, base) -> bool:
     """Whether the sieve strikes the window's sparse primes rank by rank:
-    more than _RANK_MIN of them, and more than _RANK_MIN odd base primes
-    up to sqrt(hi) above n_odds / _FEW_STRIKES."""
-    n_odds = (hi - max(3, (lo + 1) | 1)) // 2 + 1
-    above = [p for p in base.primes[1:].tolist()
-             if n_odds // arith._FEW_STRIKES < p and p * p <= hi]
-    return (len(above) > arith._RANK_MIN
-            and sparse_primes(lo, hi, base) > arith._RANK_MIN)
+    more than _RANK_MIN of them strike it."""
+    return sparse_hits(lo, hi, base) > arith._RANK_MIN
 
 
 class TestIsPrime:
@@ -205,6 +208,17 @@ class TestIroot:
         assert arith.iroot(10 ** 18, 10 ** 29) == 1
         assert arith.iroot(2 ** 64, 64) == 2
         assert arith.iroot(2 ** 64 - 1, 64) == 1
+
+    @pytest.mark.parametrize("a, r", [
+        (722191973998701852311568902, 2),
+        (872960969526523965054785300, 3),
+        (647765588843096668021, 7)])
+    def test_float_guess_below_root(self, a, r):
+        # round(n ** (1/r)) falls short of a by up to 3 * 10^12 here, too
+        # far for a correction one unit at a time
+        assert round((a ** r) ** (1.0 / r)) < a
+        assert arith.iroot(a ** r, r) == a
+        assert arith.iroot(a ** r - 1, r) == a - 1
 
     def test_errors(self):
         with pytest.raises(DomainError):
@@ -383,6 +397,10 @@ class TestWeightedLambdaSumsAt:
         want = [math.fsum(lam[n[n <= t]].tolist()) for t in ts]
         got = arith.weighted_lambda_sums_at(ts, base_1e4)
         assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_no_thresholds(self, base100):
+        got = arith.weighted_lambda_sums_at([], base100)
+        assert got.dtype == np.float64 and got.size == 0
 
     def test_coverage_checked_before_int64_cast(self, base100):
         with pytest.raises(CoverageError):

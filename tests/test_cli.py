@@ -8,6 +8,7 @@ import os
 import random
 import sys
 import threading
+import warnings
 from importlib import metadata
 from pathlib import Path
 
@@ -107,6 +108,12 @@ class TestArguments:
         assert not out_path.exists()
         assert not (tmp_path / "s.csv.manifest.json").exists()
 
+    def test_non_number_float_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["explicit", "--x", "abc"])
+        assert e.value.code == cli.EXIT_USAGE
+        assert "not a number: 'abc'" in capsys.readouterr().err
+
     def test_integers_parsed_exactly(self):
         parser = cli.build_parser()
         for text, want in (("1000000000000000001", 10 ** 18 + 1),
@@ -202,6 +209,28 @@ class TestConfig:
             assert out == "" and "needs the Lucy recurrence" in err, argv
             assert str(cli.arith.LUCY_ROOT_LIMIT) in err, argv
         assert not out_csv.exists()
+
+    def test_sweep_past_int64_under_raised_ceiling(self, capsys, tmp_path):
+        # x_max = 10^19 passes 2^63: refused before the grid's int64 cast
+        cfg = tmp_path / "ppc.cfg"
+        cfg.write_text("sieve_ceiling = 1e28\n")
+        out_csv = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, "--config", str(cfg), "sweep", "--k",
+                               "2", "--x-min", "1", "--x-max", "1e19",
+                               "--points", "3", "--output", str(out_csv))
+        assert rc == cli.EXIT_CAPACITY
+        assert out == "" and "needs the Lucy recurrence" in err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("name", ["missing.cfg", "a-directory"])
+    def test_unreadable_config_is_io_error(self, capsys, tmp_path, name):
+        (tmp_path / "a-directory").mkdir()
+        rc, out, err = run(capsys, "--config", str(tmp_path / name),
+                           "count", "--x", "100", "--k", "2")
+        assert rc == cli.EXIT_IO
+        assert out == "" and name in err
 
     @pytest.mark.parametrize("argv, code, text", [
         (["interval", "--x", "1e9", "--h", "1e3", "--k", "2",
