@@ -1,14 +1,17 @@
 """Command-line surface.
 
 Subcommands: count, sweep, cstar, explicit, interval, zeros-stats,
-fetch-zeros, verify. count, cstar, explicit, interval and zeros-stats
-print rows as a table, or as csv or json with --format; whatever it says,
-sweep writes CSV plus a JSON manifest sidecar (<output>.manifest.json),
-verify prints status lines and fetch-zeros writes a table file. The sweep
-rows carry no manifest id, which is in the sidecar and the summary line.
-Printed rows carry it as a column (table, csv) or in the manifest (json).
+fetch-zeros, verify. Every setting is an argument: the global
+--sieve-ceiling bounds how far a command sieves, and --zeros PATH picks
+a zero table in place of the bundled one. Every command prints its rows
+through one writer, as a table, or as csv or json with --format, with
+the run's manifest: its id is a column of the table and csv rows and
+the "manifest" member of the json document. verify prints one row per
+check; fetch-zeros writes the table file it fetched and prints one
+summary row.
 
-Exit codes: 2 usage, 3 capacity, 4 I/O, 5 network, 6 validation.
+Exit codes: 1 a verify check failed, 2 usage, 3 capacity, 4 I/O,
+5 network, 6 validation.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 import uuid
@@ -29,15 +31,14 @@ import numpy as np
 from . import __version__, arith, counting, explicit, verify, zeros
 from .analytic import LI_CONVENTION, exponents
 from .errors import (CapacityError, CoverageError, DomainError,
-                     IntegrityError, TableParseError)
+                     IntegrityError, NetworkError, TableParseError)
 
+EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_IO = 4
 EXIT_NETWORK = 5
 EXIT_VALIDATION = 6
-
-ZEROS_ENV_VAR = "PPC_ZEROS_PATH"
 
 CSV_SCHEMA_VERSION = "2"
 
@@ -65,60 +66,18 @@ class RunManifest:
     manifest_id: str = field(default_factory=lambda: uuid.uuid4().hex[:12])
 
 
-@dataclass
-class Settings:
-    """Effective configuration: the --config file's values and --format,
-    with the time the run started."""
-
-    sieve_ceiling: int = DEFAULT_SIEVE_CEILING
-    zeros_path: str = ""
-    fmt: str = "table"
-    started: float = field(default_factory=time.time)
-
-
-CONFIG_KEYS = ("sieve_ceiling", "zeros_path")
-
-
-def _settings(args) -> Settings:
-    """Reads the key = value lines of --config; a malformed line, an
-    unknown key or a bad value is a DomainError."""
-    s = Settings(fmt=args.format)
-    if not args.config:
-        return s
-    with open(args.config) as f:
-        lines = [line.strip() for line in f]
-    for line in lines:
-        if not line or line.startswith("#"):
-            continue
-        key, eq, val = (part.strip() for part in line.partition("="))
-        if not eq or key not in CONFIG_KEYS:
-            raise DomainError(f"config {args.config}: bad line {line!r}; "
-                              f"keys are {', '.join(CONFIG_KEYS)}")
-        if key == "zeros_path":
-            s.zeros_path = val
-            continue
-        try:
-            s.sieve_ceiling = _int_arg(val)
-        except argparse.ArgumentTypeError as e:
-            raise DomainError(f"config {args.config}: {key}: {e}") from None
-    return s
-
-
-def _zero_table(args, settings: Settings) -> zeros.ZeroTable:
-    path = (getattr(args, "zeros", None) or settings.zeros_path
-            or os.environ.get(ZEROS_ENV_VAR, ""))
-    limit = getattr(args, "limit", None)
-    if path:
-        return zeros.load_zeros(path, limit=limit)
-    return zeros.builtin_table("10k", limit=limit)
-
-
 # what the manifest leaves out of the parsed arguments
-NOT_PARAMETERS = ("cmd", "fn", "format", "config")
+NOT_PARAMETERS = ("cmd", "fn", "format")
 
 
-def _manifest(args, settings: Settings,
-              table: zeros.ZeroTable | None = None) -> RunManifest:
+def _zero_table(args) -> zeros.ZeroTable:
+    if args.zeros:
+        return zeros.load_zeros(args.zeros, limit=args.limit)
+    return zeros.builtin_table("10k", limit=args.limit)
+
+
+def _manifest(args, table: zeros.ZeroTable | None,
+              started: float) -> RunManifest:
     """The record of one run: its subcommand, the parsed arguments, the
     zero table it read, and its wall time so far."""
     return RunManifest(
@@ -127,33 +86,29 @@ def _manifest(args, settings: Settings,
                     if key not in NOT_PARAMETERS},
         zero_table_source=table.source_label if table is not None else "",
         truncation=len(table) if table is not None else 0,
-        timings_ms={"total": (time.time() - settings.started) * 1000})
+        timings_ms={"total": (time.time() - started) * 1000})
 
 
-def _emit(rows: list[dict], args, settings: Settings,
-          table: zeros.ZeroTable | None = None) -> int:
-    """Print the rows with the run's manifest in settings.fmt; returns
-    the exit code, 0."""
-    manifest = _manifest(args, settings, table)
+def _emit(rows: list[dict], manifest: RunManifest, fmt: str) -> None:
+    """Print the rows with the run's manifest as a table, csv or json."""
     out = sys.stdout
-    if settings.fmt == "json":
+    if fmt == "json":
         json.dump({"manifest": asdict(manifest), "rows": rows}, out,
                   indent=2)
         out.write("\n")
-        return 0
+        return
     for row in rows:
         row.setdefault("manifest_id", manifest.manifest_id)
     cols = list(rows[0].keys()) if rows else []
-    if settings.fmt == "csv":
+    if fmt == "csv":
         w = csv.DictWriter(out, fieldnames=cols)
         w.writeheader()
         w.writerows(rows)
-        return 0
+        return
     lines = [cols] + [[_fmt_cell(r[c]) for c in cols] for r in rows]
     widths = [max(len(line[i]) for line in lines) for i in range(len(cols))]
     for line in lines:
         out.write("  ".join(v.ljust(w) for v, w in zip(line, widths)) + "\n")
-    return 0
 
 
 def _fmt_cell(v) -> str:
@@ -162,14 +117,13 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _check_ceiling(name: str, n, settings: Settings,
-                   reach: int = 1) -> None:
+def _check_ceiling(name: str, n, args, reach: int = 1) -> None:
     """CapacityError, before any sieving, when n passes reach times
-    sieve_ceiling."""
-    if n > reach * settings.sieve_ceiling:
+    --sieve-ceiling."""
+    if n > reach * args.sieve_ceiling:
         times = f"{reach} * " if reach > 1 else ""
         raise CapacityError(f"{name} = {n} beyond {times}sieve ceiling "
-                            f"{settings.sieve_ceiling}")
+                            f"{args.sieve_ceiling}")
 
 
 def _base_for(x: int) -> arith.PrimeTable:
@@ -178,9 +132,12 @@ def _base_for(x: int) -> arith.PrimeTable:
     return arith.sieve_primes(max(100, math.isqrt(x) + 1))
 
 
-def cmd_count(args, settings: Settings) -> int:
+# Each command returns its rows and the zero table it read, or None;
+# main prints them.
+
+def cmd_count(args):
     x, k = args.x, args.k
-    _check_ceiling("x", x, settings, LADDER_REACH)
+    _check_ceiling("x", x, args, LADDER_REACH)
     results = []
     if args.method != "exact":
         # first: the oracle refuses x past its own ceiling before it
@@ -193,7 +150,7 @@ def cmd_count(args, settings: Settings) -> int:
     rows = [{"x": x, "k": k, "count": r.count, "main_term": r.main_term,
              "normalized_error": r.normalized_error, "A": exponents(k),
              "method": r.method} for r in results]
-    return _emit(rows, args, settings)
+    return rows, None
 
 
 def _sweep_grid(x_min: int, x_max: int, points: int) -> np.ndarray:
@@ -205,14 +162,14 @@ def _sweep_grid(x_min: int, x_max: int, points: int) -> np.ndarray:
                                          points)).astype(np.int64))
 
 
-def cmd_sweep(args, settings: Settings) -> int:
+def cmd_sweep(args):
     if not 2 <= args.points <= MAX_SWEEP_POINTS:
         raise DomainError(f"sweep needs 2 <= points <= {MAX_SWEEP_POINTS}, "
                           f"got {args.points}")
     if not 1 <= args.x_min <= args.x_max:
         raise DomainError("sweep needs 1 <= x_min <= x_max, got "
                           f"x_min = {args.x_min}, x_max = {args.x_max}")
-    _check_ceiling("x_max", args.x_max, settings, LADDER_REACH)
+    _check_ceiling("x_max", args.x_max, args, LADDER_REACH)
     # before the grid's int64 cast, which x_max past 2^63 would overflow
     arith.check_lucy_reach(args.x_max)
     grid = _sweep_grid(args.x_min, args.x_max, args.points)
@@ -224,26 +181,11 @@ def cmd_sweep(args, settings: Settings) -> int:
                      "main_term": r.main_term,
                      "error": r.count - r.main_term,
                      "normalized_error": r.normalized_error})
-    manifest = _manifest(args, settings)
-    try:
-        with open(args.output, "w", newline="") as f:
-            w = csv.DictWriter(f, fieldnames=["x", "k", "count", "main_term",
-                                              "error", "normalized_error"])
-            w.writeheader()
-            w.writerows(rows)
-        with open(args.output + ".manifest.json", "w") as f:
-            json.dump(asdict(manifest), f, indent=2)
-            f.write("\n")
-    except OSError as e:
-        print(f"error: cannot write {args.output}: {e}", file=sys.stderr)
-        return EXIT_IO
-    print(f"wrote {len(rows)} rows to {args.output} "
-          f"(manifest {manifest.manifest_id})")
-    return 0
+    return rows, None
 
 
-def cmd_cstar(args, settings: Settings) -> int:
-    _check_ceiling("x", args.x, settings)
+def cmd_cstar(args):
+    _check_ceiling("x", args.x, args)
     base = _base_for(args.x)
     r = counting.cstar(args.x, args.k, base)
     corr = counting.prime_power_correction(args.x, args.k, base)
@@ -251,12 +193,12 @@ def cmd_cstar(args, settings: Settings) -> int:
              "normalized_error": r.normalized_error,
              "prime_power_correction": corr.value,
              "correction_scale_ratio": corr.scale_ratio}]
-    return _emit(rows, args, settings)
+    return rows, None
 
 
-def cmd_explicit(args, settings: Settings) -> int:
-    _check_ceiling("x", args.x, settings)
-    table = _zero_table(args, settings)
+def cmd_explicit(args):
+    _check_ceiling("x", args.x, args)
+    table = _zero_table(args)
     base = _base_for(int(args.x))
     exact = explicit.psi1_exact(args.x, base)
     value, bound = explicit.psi1_via_zeros(args.x, table)
@@ -265,10 +207,10 @@ def cmd_explicit(args, settings: Settings) -> int:
              # psi_1 = 0 for x < 3: no relative gap, and JSON has no inf
              "rel_gap": abs(value - exact) / exact if exact else None,
              "remainder_bound": bound, "zeros_used": len(table)}]
-    return _emit(rows, args, settings, table)
+    return rows, table
 
 
-def cmd_interval(args, settings: Settings) -> int:
+def cmd_interval(args):
     x, k = args.x, args.k
     if not args.with_zeros and (args.zeros, args.limit) != (None, None):
         raise DomainError("--zeros and --limit need --with-zeros")
@@ -278,10 +220,10 @@ def cmd_interval(args, settings: Settings) -> int:
         raise DomainError("interval needs --h >= 1 or --f > 1")
     else:
         h, delta = args.h, max(2, args.h // 10)
-    _check_ceiling("h", h, settings)
+    _check_ceiling("h", h, args)
     table = None
     if args.with_zeros:
-        table = _zero_table(args, settings)
+        table = _zero_table(args)
         # the diagnostics' domain, refused before any sieving
         w = explicit.TrapezoidWeight(float(x), float(h), float(delta))
         table.check_covers(x / delta)
@@ -301,14 +243,15 @@ def cmd_interval(args, settings: Settings) -> int:
         bd = explicit.zero_sum_breakdown(w.x, w.h, w.delta, table)
         row["ratio_low"], row["ratio_mid"], row["ratio_high"] = bd.ratios
         row["zero_sum_remainder_bound"] = bd.remainder_bound
-    return _emit([row], args, settings, table)
+    return [row], table
 
 
-def cmd_zeros_stats(args, settings: Settings) -> int:
-    table = _zero_table(args, settings)
+def cmd_zeros_stats(args):
+    table = _zero_table(args)
     rows = []
-    for T in args.T or [100.0, 1000.0, table.max_ordinate]:
-        T = min(T, table.max_ordinate)
+    # each T clipped to the table's end, without repeats
+    for T in dict.fromkeys(min(T, table.max_ordinate) for T in
+                           args.T or [100.0, 1000.0, table.max_ordinate]):
         n = zeros.count_below(table, T)
         row = {"T": T, "N": n, "rvm_estimate": zeros.rvm_estimate(T),
                "sum_inv_gamma": zeros.sum_inv_gamma(table, T)}
@@ -316,10 +259,10 @@ def cmd_zeros_stats(args, settings: Settings) -> int:
         row["inv_gamma_sq_tail"] = tail
         row["inv_gamma_sq_tail_bound"] = bound
         rows.append(row)
-    return _emit(rows, args, settings, table)
+    return rows, table
 
 
-def cmd_fetch_zeros(args, settings: Settings) -> int:
+def cmd_fetch_zeros(args):
     # imported here: no other command needs the HTTP stack
     import urllib.parse
     import urllib.request
@@ -331,33 +274,17 @@ def cmd_fetch_zeros(args, settings: Settings) -> int:
         with urllib.request.urlopen(args.url, timeout=60) as resp:
             body = resp.read()
     except (OSError, ValueError) as e:  # URLError and HTTPError are OSErrors
-        print(f"error: fetch failed: {e}", file=sys.stderr)
-        return EXIT_NETWORK
-    try:
-        table = zeros.parse_table(body.decode("utf-8").splitlines(),
-                                  args.url, limit=args.limit)
-    except (TableParseError, IntegrityError, UnicodeDecodeError) as e:
-        print(f"error: downloaded table failed validation: {e}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        raise NetworkError(f"fetch failed: {e}") from None
+    table = zeros.parse_table(body, args.url, limit=args.limit)
     with open(args.output, "w") as f:
-        for v in table.ordinates:
-            f.write(f"{v:.9f}\n")
-    print(f"wrote {len(table)} ordinates to {args.output}")
-    return 0
+        # repr is the shortest string that reads back as the same float
+        f.writelines(f"{v!r}\n" for v in table.ordinates.tolist())
+    return [{"output": args.output, "ordinates": len(table),
+             "max_ordinate": table.max_ordinate}], table
 
 
-def cmd_verify(args, settings: Settings) -> int:
-    results = verify.run_all(args.scale)
-    manifest = _manifest(args, settings)
-    failures = 0
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.name}: {r.detail} "
-              f"({r.elapsed_ms:.0f} ms) [manifest {manifest.manifest_id}]")
-        failures += 0 if r.passed else 1
-    print(f"{len(results) - failures}/{len(results)} checks passed")
-    return 0 if failures == 0 else 1
+def cmd_verify(args):
+    return [asdict(r) for r in verify.run_all(args.scale)], None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,9 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "main terms and explicit-formula diagnostics.")
     p.add_argument("--format", choices=("table", "csv", "json"),
                    default="table")
-    p.add_argument("--config", default=None,
-                   help="file of key = value lines: "
-                        + ", ".join(CONFIG_KEYS))
+    p.add_argument("--sieve-ceiling", type=_int_arg,
+                   default=DEFAULT_SIEVE_CEILING,
+                   help="the largest x (h for interval) a command sieves")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("count", help="exact C_k(x) with main term")
@@ -379,12 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
                    default="exact")
     c.set_defaults(fn=cmd_count)
 
-    c = sub.add_parser("sweep", help="normalized-error curve to CSV")
+    c = sub.add_parser("sweep", help="normalized-error curve")
     c.add_argument("--k", type=_int_arg, required=True)
     c.add_argument("--x-min", type=_int_arg, required=True)
     c.add_argument("--x-max", type=_int_arg, required=True)
     c.add_argument("--points", type=_int_arg, default=10)
-    c.add_argument("--output", required=True)
     c.set_defaults(fn=cmd_sweep)
 
     c = sub.add_parser("cstar", help="weighted count C*_k(x)")
@@ -455,11 +381,10 @@ def _float_arg(s: str) -> float:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    started = time.time()
+    args = build_parser().parse_args(argv)
     try:
-        settings = _settings(args)
-        return args.fn(args, settings)
+        rows, table = args.fn(args)
     except CapacityError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAPACITY
@@ -469,10 +394,17 @@ def main(argv=None) -> int:
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except NetworkError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_NETWORK
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-
+    _emit(rows, _manifest(args, table, started), args.format)
+    # only verify's rows carry "passed"
+    if any(row.get("passed") is False for row in rows):
+        return EXIT_CHECK_FAILED
+    return 0
 
 if __name__ == "__main__":
     sys.exit(main())

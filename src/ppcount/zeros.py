@@ -84,11 +84,18 @@ def validate_table(ordinates: np.ndarray, label: str) -> None:
             f"near gamma = {g[i]:.3f}; table corrupt or incomplete")
 
 
-def parse_table(lines, label: str, limit: int | None = None) -> ZeroTable:
-    """Parse one ordinate per line (at most ``limit`` of them), apply the
-    integrity gates and wrap the result; an empty table is refused."""
+def parse_table(data: bytes, label: str,
+                limit: int | None = None) -> ZeroTable:
+    """Decode UTF-8 text of one ordinate per line, parse at most
+    ``limit`` ordinates, apply the integrity gates and wrap the result;
+    an empty table is refused."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise TableParseError(label, data.count(b"\n", 0, e.start) + 1,
+                              f"not UTF-8 text: {e.reason}") from None
     vals: list[float] = []
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         if limit is not None and len(vals) >= limit:
             break
         s = raw.strip()
@@ -114,15 +121,15 @@ def parse_table(lines, label: str, limit: int | None = None) -> ZeroTable:
 
 def load_zeros(path, limit: int | None = None) -> ZeroTable:
     """Load a one-ordinate-per-line table, applying the validation gates."""
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_table(f, str(path), limit)
+    with open(path, "rb") as f:
+        return parse_table(f.read(), str(path), limit)
 
 
 def builtin_table(name: str = "10k", limit: int | None = None) -> ZeroTable:
     """Bundled tables: '10k' (first 10500 ordinates) or 'first100'."""
     fname = {"10k": "zeros_10k.txt", "first100": "zeros_first100.txt"}[name]
-    text = (resources.files("ppcount") / "data" / fname).read_text("utf-8")
-    return parse_table(text.splitlines(), f"builtin:{fname}", limit)
+    data = (resources.files("ppcount") / "data" / fname).read_bytes()
+    return parse_table(data, f"builtin:{fname}", limit)
 
 
 def count_below(table: ZeroTable, T: float) -> int:

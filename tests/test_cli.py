@@ -1,10 +1,11 @@
+import argparse
+import ast
 import csv
 import functools
 import http.server
 import importlib
 import io
 import json
-import os
 import random
 import sys
 import threading
@@ -12,6 +13,7 @@ import warnings
 from importlib import metadata
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ppcount import cli, counting, verify, zeros
@@ -89,24 +91,17 @@ class TestArguments:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("x_min, x_max", [("0", "100"), ("500", "100")])
-    def test_bad_sweep_range_is_usage_error(self, capsys, tmp_path,
-                                            x_min, x_max):
-        out_path = tmp_path / "s.csv"
+    def test_bad_sweep_range_is_usage_error(self, capsys, x_min, x_max):
         rc, out, err = run(capsys, "sweep", "--k", "2", "--x-min", x_min,
-                           "--x-max", x_max, "--output", str(out_path))
+                           "--x-max", x_max)
         assert rc == cli.EXIT_USAGE
         assert out == "" and "x_min <= x_max" in err
-        assert not out_path.exists()
 
-    def test_too_many_sweep_points_is_usage_error(self, capsys, tmp_path):
-        out_path = tmp_path / "s.csv"
+    def test_too_many_sweep_points_is_usage_error(self, capsys):
         rc, out, err = run(capsys, "sweep", "--k", "2", "--x-min", "1",
-                           "--x-max", "100", "--points", "1e20",
-                           "--output", str(out_path))
+                           "--x-max", "100", "--points", "1e20")
         assert rc == cli.EXIT_USAGE
         assert out == "" and "points" in err
-        assert not out_path.exists()
-        assert not (tmp_path / "s.csv.manifest.json").exists()
 
     def test_non_number_float_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -130,36 +125,36 @@ class TestArguments:
 
 
 class TestConfig:
-    @pytest.mark.parametrize("text, needle", [
-        ("sieve_ceiling = abc\n", "sieve_ceiling"),
-        ("sieve_ceiling = 12.5\n", "sieve_ceiling"),
-        ("threads = 4\n", "threads"),
-        ("segment_size = 65536\n", "segment_size"),
-        ("sieve_ceiling 1000\n", "bad line"),
-    ])
-    def test_bad_config_is_usage_error(self, capsys, tmp_path, text, needle):
-        cfg = tmp_path / "ppc.cfg"
-        cfg.write_text(text)
-        rc, out, err = run(capsys, "--config", str(cfg),
-                           "count", "--x", "100", "--k", "2")
-        assert rc == cli.EXIT_USAGE
-        assert out == ""
-        assert needle in err
+    """Every setting is an argument: the global --sieve-ceiling, and
+    --zeros for the zero table."""
 
-    def test_capacity_from_config(self, capsys, tmp_path):
-        cfg = tmp_path / "ppc.cfg"
-        cfg.write_text("# limits\nsieve_ceiling = 1e3\n")
-        out_csv = tmp_path / "s.csv"
+    def test_capacity_from_config(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.arith, "sieve_primes", None)
         for argv in (["count", "--x", "1e6", "--k", "2"],
-                     ["sweep", "--k", "2", "--x-min", "10", "--x-max", "1e6",
-                      "--output", str(out_csv)],
+                     ["sweep", "--k", "2", "--x-min", "10", "--x-max", "1e6"],
                      ["cstar", "--x", "1e6", "--k", "2"],
                      ["explicit", "--x", "1e6"],
                      ["interval", "--x", "1e6", "--h", "1e4", "--k", "2"]):
-            rc, out, err = run(capsys, "--config", str(cfg), *argv)
+            rc, out, err = run(capsys, "--sieve-ceiling", "1e3", *argv)
             assert rc == cli.EXIT_CAPACITY, argv
-            assert out == "" and "ceiling" in err, argv
-        assert not out_csv.exists()
+            assert out == "" and "ceiling 1000" in err, argv
+
+    def test_ceiling_in_manifest(self, capsys):
+        for ceiling, want in ((None, cli.DEFAULT_SIEVE_CEILING),
+                              ("1e6", 10 ** 6)):
+            flag = ["--sieve-ceiling", ceiling] if ceiling else []
+            rc, out, _ = run(capsys, "--format", "json", *flag,
+                             "cstar", "--x", "1e3", "--k", "2")
+            assert rc == 0
+            params = json.loads(out)["manifest"]["parameters"]
+            assert params["sieve_ceiling"] == want
+
+    def test_bad_ceiling_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["--sieve-ceiling", "12.5", "count", "--x", "100",
+                      "--k", "2"])
+        assert e.value.code == cli.EXIT_USAGE
+        assert "--sieve-ceiling" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["cstar", "--x", "1e13", "--k", "2"],
@@ -174,7 +169,7 @@ class TestConfig:
         assert rc == cli.EXIT_CAPACITY
         assert f"sieve ceiling {cli.DEFAULT_SIEVE_CEILING}" in err
 
-    def test_ladder_reaches_1e12(self, capsys, monkeypatch, tmp_path):
+    def test_ladder_reaches_1e12(self, capsys, monkeypatch):
         # count and sweep sieve only to sqrt(x): 100 times the ceiling
         seen = []
 
@@ -187,48 +182,40 @@ class TestConfig:
                          "count", "--x", "1e12", "--k", "2")
         assert rc == 0 and json.loads(out)["rows"][0]["x"] == 10 ** 12
         rc, _, _ = run(capsys, "sweep", "--k", "2", "--x-min", "1e11",
-                       "--x-max", "1e12", "--points", "2",
-                       "--output", str(tmp_path / "s.csv"))
+                       "--x-max", "1e12", "--points", "2")
         assert rc == 0
         assert seen == [10 ** 12, 10 ** 11, 10 ** 12]
 
-    def test_lucy_bound_under_raised_ceiling(self, capsys, monkeypatch,
-                                             tmp_path):
+    def test_lucy_bound_under_raised_ceiling(self, capsys, monkeypatch):
         # within 100 * sieve_ceiling, but past the Lucy recurrence's
         # bound: refused before the base table to sqrt(x) is sieved
         monkeypatch.setattr(cli.arith, "sieve_primes", None)
-        cfg = tmp_path / "ppc.cfg"
-        cfg.write_text("sieve_ceiling = 1e13\n")
-        out_csv = tmp_path / "s.csv"
         r = cli.arith.LUCY_ROOT_LIMIT + 1
         for argv in (["count", "--x", str(r * r), "--k", "2"],
                      ["sweep", "--k", "2", "--x-min", "1e6", "--x-max",
-                      "2e14", "--points", "3", "--output", str(out_csv)]):
-            rc, out, err = run(capsys, "--config", str(cfg), *argv)
+                      "2e14", "--points", "3"]):
+            rc, out, err = run(capsys, "--sieve-ceiling", "1e13", *argv)
             assert rc == cli.EXIT_CAPACITY, argv
             assert out == "" and "needs the Lucy recurrence" in err, argv
             assert str(cli.arith.LUCY_ROOT_LIMIT) in err, argv
-        assert not out_csv.exists()
 
-    def test_sweep_past_int64_under_raised_ceiling(self, capsys, tmp_path):
+    def test_sweep_past_int64_under_raised_ceiling(self, capsys):
         # x_max = 10^19 passes 2^63: refused before the grid's int64 cast
-        cfg = tmp_path / "ppc.cfg"
-        cfg.write_text("sieve_ceiling = 1e28\n")
-        out_csv = tmp_path / "s.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc, out, err = run(capsys, "--config", str(cfg), "sweep", "--k",
-                               "2", "--x-min", "1", "--x-max", "1e19",
-                               "--points", "3", "--output", str(out_csv))
+            rc, out, err = run(capsys, "--sieve-ceiling", "1e28", "sweep",
+                               "--k", "2", "--x-min", "1", "--x-max", "1e19",
+                               "--points", "3")
         assert rc == cli.EXIT_CAPACITY
         assert out == "" and "needs the Lucy recurrence" in err
-        assert not out_csv.exists()
 
-    @pytest.mark.parametrize("name", ["missing.cfg", "a-directory"])
-    def test_unreadable_config_is_io_error(self, capsys, tmp_path, name):
+    @pytest.mark.parametrize("name", ["missing.txt", "a-directory"])
+    def test_unreadable_zeros_is_io_error(self, capsys, monkeypatch,
+                                          tmp_path, name):
+        monkeypatch.setattr(cli.arith, "sieve_primes", None)
         (tmp_path / "a-directory").mkdir()
-        rc, out, err = run(capsys, "--config", str(tmp_path / name),
-                           "count", "--x", "100", "--k", "2")
+        rc, out, err = run(capsys, "zeros-stats",
+                           "--zeros", str(tmp_path / name))
         assert rc == cli.EXIT_IO
         assert out == "" and name in err
 
@@ -256,58 +243,52 @@ class TestConfig:
     def test_config_zeros_path(self, capsys, tmp_path, zeros100):
         zp = tmp_path / "z.txt"
         zp.write_text("\n".join(f"{g:.9f}" for g in zeros100.ordinates))
-        cfg = tmp_path / "ppc.cfg"
-        cfg.write_text(f"zeros_path = {zp}\n")
-        rc, out, _ = run(capsys, "--format", "json", "--config", str(cfg),
-                         "zeros-stats", "--T", "100")
+        rc, out, _ = run(capsys, "--format", "json", "zeros-stats",
+                         "--zeros", str(zp), "--T", "50", "100")
         assert rc == 0
         payload = json.loads(out)
         assert payload["manifest"]["zero_table_source"] == str(zp)
-        assert payload["rows"][0]["N"] == 29
+        assert [r["N"] for r in payload["rows"]] == [10, 29]
+
+    @pytest.mark.parametrize("argv", [["zeros-stats"],
+                                      ["explicit", "--x", "1e4"]])
+    def test_non_utf8_zeros_is_validation_error(self, capsys, monkeypatch,
+                                                tmp_path, argv):
+        monkeypatch.setattr(cli.arith, "sieve_primes", None)
+        zp = tmp_path / "latin1.txt"
+        zp.write_bytes(b"# z\xe9ros\n14.134725142\n")
+        rc, out, err = run(capsys, *argv, "--zeros", str(zp))
+        assert rc == cli.EXIT_VALIDATION
+        assert out == "" and f"{zp}:1: not UTF-8" in err
 
 
 class TestSweep:
-    def test_csv_and_manifest_sidecar(self, capsys, tmp_path, base_1e4):
-        out_path = tmp_path / "sweep.csv"
-        rc, out, _ = run(capsys, "sweep", "--k", "2", "--x-min", "100",
-                         "--x-max", "1e4", "--points", "6",
-                         "--output", str(out_path))
+    def test_csv_rows(self, capsys, base_1e4):
+        rc, out, _ = run(capsys, "--format", "csv", "sweep", "--k", "2",
+                         "--x-min", "100", "--x-max", "1e4", "--points", "6")
         assert rc == 0
-        with open(out_path) as f:
-            text = f.read()
-        assert text.splitlines()[0] == "x,k,count,main_term,error,normalized_error"
-        rows = parse_csv(text)
+        assert out.splitlines()[0] == ("x,k,count,main_term,error,"
+                                       "normalized_error,manifest_id")
+        rows = parse_csv(out)
         assert len(rows) == 6
         xs = [int(r["x"]) for r in rows]
         assert xs == sorted(xs) and xs[0] == 100 and xs[-1] == 10 ** 4
         for r in rows:
             want = counting.count_exact(int(r["x"]), 2, base_1e4).count
             assert int(r["count"]) == want
-        manifest = json.loads((tmp_path / "sweep.csv.manifest.json")
-                              .read_text())
-        assert manifest["command"] == "sweep"
-        assert manifest["parameters"]["points"] == 6
-        assert manifest["manifest_id"] in out
+        assert len({r["manifest_id"] for r in rows}) == 1
 
-    def test_large_k_reported_as_given(self, capsys, tmp_path):
-        out_path = tmp_path / "sweep.csv"
-        rc, _, _ = run(capsys, "sweep", "--k", "99", "--x-min", "100",
-                       "--x-max", "1000", "--points", "3",
-                       "--output", str(out_path))
+    def test_large_k_reported_as_given(self, capsys):
+        rc, out, _ = run(capsys, "--format", "json", "sweep", "--k", "99",
+                         "--x-min", "100", "--x-max", "1000", "--points", "3")
         assert rc == 0
-        assert [r["k"] for r in parse_csv(out_path.read_text())] == ["99"] * 3
+        payload = json.loads(out)
+        assert [r["k"] for r in payload["rows"]] == [99] * 3
+        assert payload["manifest"]["parameters"]["points"] == 3
 
-    def test_unwritable_output(self, capsys, tmp_path):
-        rc, _, err = run(capsys, "sweep", "--k", "2", "--x-min", "100",
-                         "--x-max", "200", "--points", "2",
-                         "--output", str(tmp_path / "no-dir" / "o.csv"))
-        assert rc == cli.EXIT_IO
-        assert "error" in err
-
-    def test_too_few_points(self, capsys, tmp_path):
+    def test_too_few_points(self, capsys):
         rc, _, _ = run(capsys, "sweep", "--k", "2", "--x-min", "100",
-                       "--x-max", "200", "--points", "1",
-                       "--output", str(tmp_path / "o.csv"))
+                       "--x-max", "200", "--points", "1")
         assert rc == cli.EXIT_USAGE
 
     @pytest.mark.parametrize("x_max", [74900082078727, (10 ** 7 + 1) ** 2])
@@ -392,24 +373,25 @@ class TestExplicit:
 class TestVerify:
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.verify, "run_all", lambda scale: [
-            verify.CheckResult("good", True, "held"),
-            verify.CheckResult("bad", False, "broke")])
-        rc, out, _ = run(capsys, "verify")
+            verify.CheckResult("good", True, "held", 1.0),
+            verify.CheckResult("bad", False, "broke", 2.0)])
+        rc, out, _ = run(capsys, "--format", "json", "verify")
         assert rc == 1
-        lines = out.splitlines()
-        manifest_id = lines[0].rsplit("[manifest ", 1)[1].rstrip("]")
-        assert lines[0].startswith("[PASS] good: held (")
-        assert lines[1].startswith("[FAIL] bad: broke (")
-        assert all(line.endswith(f"[manifest {manifest_id}]")
-                   for line in lines[:2])
-        assert lines[2] == "1/2 checks passed"
+        payload = json.loads(out)
+        assert payload["rows"] == [
+            {"name": "good", "passed": True, "detail": "held",
+             "elapsed_ms": 1.0},
+            {"name": "bad", "passed": False, "detail": "broke",
+             "elapsed_ms": 2.0}]
+        assert payload["manifest"]["command"] == "verify"
 
     def test_all_passing_exits_zero(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.verify, "run_all", lambda scale: [
             verify.CheckResult("good", True, "held")] * 2)
-        rc, out, _ = run(capsys, "verify")
+        rc, out, _ = run(capsys, "--format", "csv", "verify")
         assert rc == 0
-        assert out.splitlines()[-1] == "2/2 checks passed"
+        rows = parse_csv(out)
+        assert [(r["name"], r["passed"]) for r in rows] == [("good", "True")] * 2
 
 
 class TestInterval:
@@ -486,16 +468,14 @@ class TestInterval:
 
 
 class TestZerosStats:
-    def test_env_var_source(self, capsys, tmp_path, monkeypatch, zeros100):
-        zp = tmp_path / "env.txt"
-        zp.write_text("\n".join(f"{g:.9f}" for g in zeros100.ordinates))
-        monkeypatch.setenv(cli.ZEROS_ENV_VAR, str(zp))
+    def test_clipped_T_not_repeated(self, capsys):
+        # the default T list is 100, 1000 and the table's end: with three
+        # zeros all three clip to gamma_3
         rc, out, _ = run(capsys, "--format", "json", "zeros-stats",
-                         "--T", "50", "100")
+                         "--limit", "3")
         assert rc == 0
-        payload = json.loads(out)
-        assert payload["manifest"]["zero_table_source"] == str(zp)
-        assert [r["N"] for r in payload["rows"]] == [10, 29]
+        rows = json.loads(out)["rows"]
+        assert [(r["T"], r["N"]) for r in rows] == [(25.01085758, 2)]
 
     def test_table_format_default(self, capsys):
         rc, out, _ = run(capsys, "zeros-stats", "--limit", "100")
@@ -507,6 +487,11 @@ class TestZerosStats:
 def zero_server(tmp_path, zeros100):
     good = "\n".join(f"{g:.9f}" for g in zeros100.ordinates) + "\n"
     (tmp_path / "good.txt").write_text(good)
+    # 60 ordinates off the 9-decimal grid, as a precise table has them
+    (tmp_path / "precise.txt").write_text("".join(
+        f"{g + (i % 7) * 1.3e-11!r}\n"
+        for i, g in enumerate(zeros100.ordinates[:60].tolist())))
+    (tmp_path / "latin1.txt").write_bytes(b"14.134725142\n# z\xe9ros\n")
     (tmp_path / "bad.txt").write_text("21.02\n14.13\n")
     (tmp_path / "blank.txt").write_text("# no ordinates\n")
     handler = functools.partial(http.server.SimpleHTTPRequestHandler,
@@ -522,12 +507,42 @@ def zero_server(tmp_path, zeros100):
 class TestFetchZeros:
     def test_fetch_and_validate(self, capsys, tmp_path, zero_server):
         out_path = tmp_path / "fetched.txt"
-        rc, out, _ = run(capsys, "fetch-zeros",
-                         "--url", zero_server + "/good.txt",
-                         "--output", str(out_path), "--limit", "50")
+        url = zero_server + "/good.txt"
+        rc, out, _ = run(capsys, "--format", "json", "fetch-zeros",
+                         "--url", url, "--output", str(out_path),
+                         "--limit", "50")
         assert rc == 0
         table = zeros.load_zeros(out_path)
         assert len(table) == 50
+        payload = json.loads(out)
+        assert payload["rows"] == [{"output": str(out_path),
+                                    "ordinates": 50,
+                                    "max_ordinate": table.max_ordinate}]
+        assert payload["manifest"]["zero_table_source"] == url
+        assert payload["manifest"]["truncation"] == 50
+
+    def test_fetched_file_reloads_bit_for_bit(self, capsys, tmp_path,
+                                              zero_server):
+        # ordinates with more digits than 9 decimals keep every bit
+        served = zeros.load_zeros(tmp_path / "precise.txt")
+        assert any(g != round(g, 9) for g in served.ordinates.tolist())
+        out_path = tmp_path / "fetched.txt"
+        rc, _, _ = run(capsys, "fetch-zeros",
+                       "--url", zero_server + "/precise.txt",
+                       "--output", str(out_path))
+        assert rc == 0
+        np.testing.assert_array_equal(zeros.load_zeros(out_path).ordinates,
+                                      served.ordinates)
+
+    def test_non_utf8_download_rejected(self, capsys, tmp_path,
+                                        zero_server):
+        out_path = tmp_path / "fetched.txt"
+        rc, out, err = run(capsys, "fetch-zeros",
+                           "--url", zero_server + "/latin1.txt",
+                           "--output", str(out_path))
+        assert rc == cli.EXIT_VALIDATION
+        assert out == "" and ":2: not UTF-8" in err
+        assert not out_path.exists()
 
     def test_corrupt_download_rejected(self, capsys, tmp_path, zero_server):
         out_path = tmp_path / "fetched.txt"
@@ -578,6 +593,57 @@ class TestFetchZeros:
                          "--url", "http://127.0.0.1:1/zeros.txt",
                          "--output", str(tmp_path / "o.txt"))
         assert rc == cli.EXIT_NETWORK
+
+
+# one small run of every subcommand; {server} and {tmp} are filled in
+EVERY_COMMAND = [
+    ["count", "--x", "100", "--k", "2"],
+    ["sweep", "--k", "2", "--x-min", "10", "--x-max", "100", "--points", "2"],
+    ["cstar", "--x", "100", "--k", "2"],
+    ["explicit", "--x", "100", "--limit", "100"],
+    ["interval", "--x", "1e4", "--h", "100", "--k", "2"],
+    ["zeros-stats", "--limit", "100"],
+    ["fetch-zeros", "--url", "{server}/good.txt", "--output", "{tmp}/z.txt"],
+    ["verify"],
+]
+
+
+class TestEmit:
+    def test_every_subcommand_listed(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == {argv[0] for argv in EVERY_COMMAND}
+
+    @pytest.mark.parametrize("argv", EVERY_COMMAND,
+                             ids=[argv[0] for argv in EVERY_COMMAND])
+    def test_json_document(self, capsys, monkeypatch, request, tmp_path,
+                           argv):
+        monkeypatch.setattr(cli.verify, "run_all", lambda scale: [
+            verify.CheckResult("good", True, "held")])
+        server = (request.getfixturevalue("zero_server")
+                  if argv[0] == "fetch-zeros" else "")
+        argv = [a.format(server=server, tmp=tmp_path) for a in argv]
+        rc, out, _ = run(capsys, "--format", "json", *argv)
+        assert rc == 0
+        payload = json.loads(out)
+        assert set(payload) == {"manifest", "rows"}
+        assert payload["rows"]
+        assert payload["manifest"]["command"] == argv[0]
+
+    def test_stdout_only_through_emit(self):
+        # every print goes to stderr, and only _emit names sys.stdout
+        tree = ast.parse(Path(cli.__file__).read_text())
+        writers = set()
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Attribute) and node.attr == "stdout"
+                        or isinstance(node, ast.Call)
+                        and getattr(node.func, "id", "") == "print"
+                        and "file=sys.stderr" not in ast.unparse(node)):
+                    writers.add(fn.name)
+        assert writers == {"_emit"}
 
 
 class TestEntryPoint:

@@ -75,6 +75,13 @@ class TestLoadAndParse:
             zeros.load_zeros(p)
         assert e.value.line_no == 3
 
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "latin1.txt"
+        p.write_bytes(b"14.134725142\n21.022039639\n# z\xe9ros\n")
+        with pytest.raises(TableParseError, match="not UTF-8") as e:
+            zeros.load_zeros(p)
+        assert e.value.line_no == 3
+
     def test_nonpositive(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("-3.0\n")
