@@ -117,13 +117,13 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _check_ceiling(name: str, n, args, reach: int = 1) -> None:
+def _check_ceiling(name: str, n, ceiling: int, reach: int = 1) -> None:
     """CapacityError, before any sieving, when n passes reach times
-    --sieve-ceiling."""
-    if n > reach * args.sieve_ceiling:
+    ceiling."""
+    if n > reach * ceiling:
         times = f"{reach} * " if reach > 1 else ""
         raise CapacityError(f"{name} = {n} beyond {times}sieve ceiling "
-                            f"{args.sieve_ceiling}")
+                            f"{ceiling}")
 
 
 def _base_for(x: int) -> arith.PrimeTable:
@@ -137,7 +137,7 @@ def _base_for(x: int) -> arith.PrimeTable:
 
 def cmd_count(args):
     x, k = args.x, args.k
-    _check_ceiling("x", x, args, LADDER_REACH)
+    _check_ceiling("x", x, args.sieve_ceiling, LADDER_REACH)
     results = []
     if args.method != "exact":
         # first: the oracle refuses x past its own ceiling before it
@@ -169,7 +169,8 @@ def cmd_sweep(args):
     if not 1 <= args.x_min <= args.x_max:
         raise DomainError("sweep needs 1 <= x_min <= x_max, got "
                           f"x_min = {args.x_min}, x_max = {args.x_max}")
-    _check_ceiling("x_max", args.x_max, args, LADDER_REACH)
+    _check_ceiling("x_max", args.x_max, args.sieve_ceiling,
+                   LADDER_REACH)
     # before the grid's int64 cast, which x_max past 2^63 would overflow
     arith.check_lucy_reach(args.x_max)
     grid = _sweep_grid(args.x_min, args.x_max, args.points)
@@ -185,7 +186,7 @@ def cmd_sweep(args):
 
 
 def cmd_cstar(args):
-    _check_ceiling("x", args.x, args)
+    _check_ceiling("x", args.x, args.sieve_ceiling)
     base = _base_for(args.x)
     r = counting.cstar(args.x, args.k, base)
     corr = counting.prime_power_correction(args.x, args.k, base)
@@ -197,7 +198,7 @@ def cmd_cstar(args):
 
 
 def cmd_explicit(args):
-    _check_ceiling("x", args.x, args)
+    _check_ceiling("x", args.x, args.sieve_ceiling)
     table = _zero_table(args)
     base = _base_for(int(args.x))
     exact = explicit.psi1_exact(args.x, base)
@@ -220,7 +221,7 @@ def cmd_interval(args):
         raise DomainError("interval needs --h >= 1 or --f > 1")
     else:
         h, delta = args.h, max(2, args.h // 10)
-    _check_ceiling("h", h, args)
+    _check_ceiling("h", h, args.sieve_ceiling)
     table = None
     if args.with_zeros:
         table = _zero_table(args)

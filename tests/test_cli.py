@@ -199,8 +199,10 @@ class TestConfig:
             assert out == "" and "needs the Lucy recurrence" in err, argv
             assert str(cli.arith.LUCY_ROOT_LIMIT) in err, argv
 
-    def test_sweep_past_int64_under_raised_ceiling(self, capsys):
+    def test_sweep_past_int64_under_raised_ceiling(self, capsys,
+                                                   monkeypatch):
         # x_max = 10^19 passes 2^63: refused before the grid's int64 cast
+        monkeypatch.setattr(cli.arith, "sieve_primes", None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc, out, err = run(capsys, "--sieve-ceiling", "1e28", "sweep",
@@ -391,7 +393,8 @@ class TestVerify:
         rc, out, _ = run(capsys, "--format", "csv", "verify")
         assert rc == 0
         rows = parse_csv(out)
-        assert [(r["name"], r["passed"]) for r in rows] == [("good", "True")] * 2
+        assert [(r["name"], r["passed"]) for r in rows] == [
+            ("good", "True")] * 2
 
 
 class TestInterval:
