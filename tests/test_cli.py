@@ -83,6 +83,9 @@ class TestArguments:
         ["interval", "--x", "1e6", "--k", "2", "--f", "nan"],
         ["interval", "--x", "1e8", "--h", "5", "--f", "4", "--k", "2"],
         ["--threads", "2", "count", "--x", "100", "--k", "2"],
+        ["--config", "ppc.cfg", "count", "--x", "100", "--k", "2"],
+        ["sweep", "--k", "2", "--x-min", "10", "--x-max", "100",
+         "--output", "s.csv"],
     ])
     def test_bad_argument_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as e:
