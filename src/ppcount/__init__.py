@@ -16,8 +16,7 @@ from .errors import (CapacityError, CoverageError, DomainError,
                      IntegrityError, PPCountError, TableParseError)
 from .explicit import (TrapezoidWeight, ZeroSumBreakdown, psi1_exact,
                        psi1_via_zeros, s_delta_direct, s_delta_via_psi1,
-                       s_delta_via_zeros, s_rho, weight_eval,
-                       zero_sum_breakdown)
+                       s_delta_via_zeros, zero_sum_breakdown)
 from .zeros import (ZeroTable, builtin_table, count_below, load_zeros,
                     rvm_estimate, sum_inv_gamma, sum_inv_gamma_sq_tail)
 

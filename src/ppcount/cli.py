@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 import uuid
@@ -90,25 +91,29 @@ def _manifest(args, table: zeros.ZeroTable | None,
 
 
 def _emit(rows: list[dict], manifest: RunManifest, fmt: str) -> None:
-    """Print the rows with the run's manifest as a table, csv or json."""
+    """Print the rows with the run's manifest as a table, csv or json,
+    and flush them, so a closed pipe shows here."""
     out = sys.stdout
     if fmt == "json":
         json.dump({"manifest": asdict(manifest), "rows": rows}, out,
                   indent=2)
         out.write("\n")
-        return
-    for row in rows:
-        row.setdefault("manifest_id", manifest.manifest_id)
-    cols = list(rows[0].keys()) if rows else []
-    if fmt == "csv":
-        w = csv.DictWriter(out, fieldnames=cols)
-        w.writeheader()
-        w.writerows(rows)
-        return
-    lines = [cols] + [[_fmt_cell(r[c]) for c in cols] for r in rows]
-    widths = [max(len(line[i]) for line in lines) for i in range(len(cols))]
-    for line in lines:
-        out.write("  ".join(v.ljust(w) for v, w in zip(line, widths)) + "\n")
+    else:
+        for row in rows:
+            row.setdefault("manifest_id", manifest.manifest_id)
+        cols = list(rows[0].keys()) if rows else []
+        if fmt == "csv":
+            w = csv.DictWriter(out, fieldnames=cols)
+            w.writeheader()
+            w.writerows(rows)
+        else:
+            lines = [cols] + [[_fmt_cell(r[c]) for c in cols] for r in rows]
+            widths = [max(len(line[i]) for line in lines)
+                      for i in range(len(cols))]
+            for line in lines:
+                out.write("  ".join(v.ljust(w) for v, w in
+                                    zip(line, widths)).rstrip() + "\n")
+    out.flush()
 
 
 def _fmt_cell(v) -> str:
@@ -401,7 +406,13 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    _emit(rows, _manifest(args, table, started), args.format)
+    try:
+        _emit(rows, _manifest(args, table, started), args.format)
+    except BrokenPipeError:
+        # the reader closed the pipe, as `| head` does: point stdout's
+        # descriptor, fd 1, at devnull, so that the interpreter's final
+        # flush of what is left cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
     # only verify's rows carry "passed"
     if any(row.get("passed") is False for row in rows):
         return EXIT_CHECK_FAILED

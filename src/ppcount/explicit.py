@@ -11,13 +11,17 @@ with coefficients (+, -, -, +); the direct-sum equality tests pin this
 down numerically.
 
 psi_1 and both sieve routes to S_Delta walk the prime powers once,
-one segment at a time, so memory stays at one segment. Each psi_1 term
+one segment at a time, so memory stays at one segment. psi_1 walks
+(1, x]; both S_Delta routes walk only the trapezoid's support
+(x - delta, x + h + delta], because below it the four signed psi_1
+terms of each prime power cancel exactly. Each psi_1 term
 (x - n) * log p is kept exactly: x - n is exact, and one error-free
-transform, a Dekker two-product, keeps the product's rounding error,
-which the cancellation of psi_1 values near x^2/2 down to order h in
-S_Delta would otherwise expose. Each segment's term arrays are reduced
-exactly in numpy to two floats per binary exponent (an exponent-indexed
-accumulator, as in Neal 2015), and one fsum rounds the total once.
+transform, a Dekker two-product built in place on Veltkamp splits,
+keeps the product's rounding error, which the cancellation of psi_1
+values near x^2/2 down to order h in S_Delta would otherwise expose.
+Each segment's term arrays are reduced exactly in numpy to two floats
+per binary exponent (an exponent-indexed accumulator, as in Neal 2015),
+and one fsum rounds the total once.
 
 Zero sums pair each rho = 1/2 + i*gamma with its conjugate (computed as
 2*Re in real arithmetic) and accumulate with correctly rounded (fsum)
@@ -64,17 +68,6 @@ class TrapezoidWeight:
         return ((1.0, x + h + d), (-1.0, x + h), (-1.0, x), (1.0, x - d))
 
 
-def weight_eval(w: TrapezoidWeight, n: float) -> float:
-    x, h, d = w.x, w.h, w.delta
-    if n <= x - d or n >= x + h + d:
-        return 0.0
-    if n < x:
-        return (n - x + d) / d
-    if n <= x + h:
-        return 1.0
-    return (x + h + d - n) / d
-
-
 def _weights_vec(w: TrapezoidWeight, ns: np.ndarray) -> np.ndarray:
     x, h, d = w.x, w.h, w.delta
     up = np.clip((ns - (x - d)) / d, 0.0, 1.0)
@@ -84,6 +77,17 @@ def _weights_vec(w: TrapezoidWeight, ns: np.ndarray) -> np.ndarray:
 
 # Dekker splitting constant (2^27 + 1) for exact two-product expansion.
 _SPLIT = 134217729.0
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: hi + lo == a exactly, each half with at most 26
+    significant bits, so a product of two halves is exact. Allocates
+    the two halves and nothing else."""
+    hi = a * _SPLIT
+    lo = hi - a
+    hi -= lo
+    np.subtract(a, hi, out=lo)
+    return hi, lo
 
 
 def _psi1_term_arrays(x: float, seg: LambdaSegment) -> list[np.ndarray]:
@@ -96,18 +100,22 @@ def _psi1_term_arrays(x: float, seg: LambdaSegment) -> list[np.ndarray]:
     lost before a final exactly-rounded fsum.
     """
     j = np.searchsorted(seg.n, math.floor(x), side="right")
-    n = seg.n[:j].astype(np.float64)
     lp = seg.log_p[:j]
-    d = x - n
+    d = seg.n[:j].astype(np.float64)
+    np.subtract(x, d, out=d)
     p = d * lp
-    # Dekker two-product: p + perr == d * lp exactly
-    a1 = d * _SPLIT
-    ah = a1 - (a1 - d)
-    al = d - ah
-    b1 = lp * _SPLIT
-    bh = b1 - (b1 - lp)
-    bl = lp - bh
-    perr = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    # Dekker two-product: p + perr == d * lp exactly, with perr
+    # ((ah*bh - p) + ah*bl + al*bh) + al*bl summed in that order
+    ah, al = _split(d)
+    bh, bl = _split(lp)
+    perr = ah * bh
+    perr -= p
+    ah *= bl
+    perr += ah
+    bh *= al
+    perr += bh
+    al *= bl
+    perr += al
     return [p, perr]
 
 
@@ -126,21 +134,21 @@ def _exact_parts(a: np.ndarray) -> np.ndarray:
         return a
     e = np.frexp(a)[1]
     e -= e.min()
-    t = a * _SPLIT
-    hi = t - (t - a)
+    hi, lo = _split(a)
     return np.concatenate((np.bincount(e, weights=hi),
-                           np.bincount(e, weights=a - hi)))
+                           np.bincount(e, weights=lo)))
 
 
-def _psi1_sum(signed, base: PrimeTable) -> float:
-    """The sum of sign * psi_1(t) over (sign, t) pairs, correctly rounded:
-    one walk over (1, floor(max t)] reduces each segment's term arrays
-    exactly to a few floats per binary exponent, and one fsum rounds
-    their total once."""
+def _psi1_sum(signed, base: PrimeTable, lo: int = 1) -> float:
+    """The sum of sign * psi_1(t) over (sign, t) pairs, correctly rounded,
+    leaving out the prime powers n <= lo: one walk over
+    (lo, floor(max t)] reduces each segment's term arrays exactly to a
+    few floats per binary exponent, and one fsum rounds their total
+    once. The caller vouches that the terms left out sum to 0 exactly."""
     hi = max(math.floor(t) for _, t in signed)
     return math.fsum(chain.from_iterable(
         (sign * _exact_parts(a)).tolist()
-        for seg in lambda_segments(1, hi, base)
+        for seg in lambda_segments(lo, hi, base)
         for sign, t in signed for a in _psi1_term_arrays(t, seg)))
 
 
@@ -171,13 +179,23 @@ def s_delta_via_psi1(x: float, h: float, delta: float,
         (psi1(x+h+D) - psi1(x+h) - psi1(x) + psi1(x-D)) / D.
 
     Must agree with s_delta_direct to rounding. The four psi_1 sums
-    share one walk over the prime powers and are combined exactly (each
-    signed product and its Dekker two-product error, reduced per binary
-    exponent, then rounded once by one fsum), so the cancellation of the
-    x^2/2-sized main terms costs no precision.
+    share one walk over the support (x - D, x + h + D] and are combined
+    exactly (each signed product and its Dekker two-product error,
+    reduced per binary exponent, then rounded once by one fsum), so the
+    cancellation of the x^2/2-sized main terms costs no precision.
+
+    A prime power n <= x - D lies at or below all four endpoints t, so
+    it adds (sum sign*t - n * sum sign) * log p = (sum sign*t) * log p.
+    That is 0 when the endpoints are exact, as they are for integral
+    inputs below 2^53, so leaving those terms out changes neither the
+    exact sum nor its rounding. When an endpoint rounds (x + h + D,
+    x + h or x - D of non-integral inputs), sum sign*t is a few ulps,
+    not 0, and a walk from 1 would add that times psi(x - D), an
+    artefact of the rounding; the support walk, like s_delta_direct,
+    reads Lambda on the support only.
     """
     w = TrapezoidWeight(x=x, h=h, delta=delta)
-    return _psi1_sum(w.ends, base) / delta
+    return _psi1_sum(w.ends, base, max(0, math.floor(x - delta))) / delta
 
 
 def _s_rho_sums(gammas: np.ndarray, signed) -> np.ndarray:
@@ -197,19 +215,6 @@ def _s_rho_sums(gammas: np.ndarray, signed) -> np.ndarray:
         lt = math.log(t)
         num += sign * t ** 1.5 * np.exp(1j * (gammas * lt))
     return 2.0 * np.real(num / denom)
-
-
-def s_rho(gamma: float, x: float, h: float, delta: float) -> complex:
-    """S(rho) for a single zero rho = 1/2 + i*gamma."""
-    if gamma == 0.0:
-        raise DomainError("s_rho requires gamma != 0")
-    w = TrapezoidWeight(x=x, h=h, delta=delta)
-    rho = 0.5 + 1j * gamma
-    num = 0.0 + 0.0j
-    for sign, t in w.ends:
-        if t > 0.0:
-            num += sign * complex(t) ** (rho + 1.0)
-    return num / (rho * (rho + 1.0))
 
 
 def trivial_zero_tail(x: float) -> float:
@@ -239,7 +244,7 @@ def psi1_via_zeros(x: float, table: ZeroTable) -> tuple[float, float]:
     """
     if x < 2:
         raise DomainError(f"psi1_via_zeros requires x >= 2, got {x}")
-    zsum = math.fsum(_s_rho_sums(table.ordinates, ((1.0, x),)))
+    zsum = math.fsum(_s_rho_sums(table.ordinates, ((1.0, x),)).tolist())
     value = (x * x / 2.0 - zsum - ZETA_LOGDERIV_0 * x + ZETA_LOGDERIV_M1)
     bound = 2.0 * _zero_tail(x, table) + trivial_zero_tail(x)
     return value, bound
@@ -251,7 +256,7 @@ def s_delta_via_zeros(x: float, h: float, delta: float,
     at the table; returns (value, remainder_bound)."""
     w = TrapezoidWeight(x=x, h=h, delta=delta)
     terms = _s_rho_sums(table.ordinates, w.ends)
-    value = h + delta - math.fsum(terms) / delta
+    value = h + delta - math.fsum(terms.tolist()) / delta
     bound = (8.0 * _zero_tail(x + h + delta, table) / delta
              + 1.0 / (delta * x))
     return value, bound
@@ -279,7 +284,7 @@ def zero_sum_breakdown(x: float, h: float, delta: float,
     w = TrapezoidWeight(x=x, h=h, delta=delta)
     table.check_covers(x / delta)
     g = table.ordinates
-    terms = _s_rho_sums(g, w.ends)
+    terms = _s_rho_sums(g, w.ends).tolist()
     i_low = np.searchsorted(g, x / h, side="right")
     i_mid = np.searchsorted(g, x / delta, side="right")
     low = math.fsum(terms[:i_low])

@@ -6,7 +6,9 @@ import http.server
 import importlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 import warnings
@@ -650,6 +652,37 @@ class TestEmit:
                         and "file=sys.stderr" not in ast.unparse(node)):
                     writers.add(fn.name)
         assert writers == {"_emit"}
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--x", "100", "--k", "2", "--method", "both"],
+        ["zeros-stats", "--limit", "100"],
+    ], ids=["count", "zeros-stats"])
+    def test_table_lines_end_without_spaces(self, capsys, argv):
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        lines = out.splitlines()
+        assert len(lines) >= 2
+        assert [line for line in lines if line != line.rstrip()] == []
+
+    @pytest.mark.parametrize("argv", [
+        # more rows than stdout buffers, so the writes meet the closed
+        # pipe inside _emit; and a single row, met at its final flush
+        ["--format", "csv", "sweep", "--k", "2", "--x-min", "1e3",
+         "--x-max", "1e6", "--points", "1000"],
+        ["--format", "json", "count", "--x", "1e4", "--k", "2"],
+    ], ids=["csv-sweep", "json-count"])
+    def test_closed_pipe_exits_cleanly(self, argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ppcount.cli", *argv], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        # the reader is gone before the child writes its first byte
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 0
+        assert err == ""
 
 
 class TestEntryPoint:

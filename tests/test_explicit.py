@@ -14,18 +14,43 @@ from ppcount.errors import CoverageError, DomainError
 from conftest import naive_lambda
 
 
+def weight_eval(w: explicit.TrapezoidWeight, n: float) -> float:
+    """The trapezoid weight at one point, branch by branch: the scalar
+    reference for explicit._weights_vec."""
+    x, h, d = w.x, w.h, w.delta
+    if n <= x - d or n >= x + h + d:
+        return 0.0
+    if n < x:
+        return (n - x + d) / d
+    if n <= x + h:
+        return 1.0
+    return (x + h + d - n) / d
+
+
+def s_rho(gamma: float, x: float, h: float, delta: float) -> complex:
+    """S(rho) for the one zero rho = 1/2 + i*gamma (gamma != 0), by
+    complex powers: the scalar reference for explicit._s_rho_sums."""
+    w = explicit.TrapezoidWeight(x=x, h=h, delta=delta)
+    rho = 0.5 + 1j * gamma
+    num = 0.0 + 0.0j
+    for sign, t in w.ends:
+        if t > 0.0:
+            num += sign * complex(t) ** (rho + 1.0)
+    return num / (rho * (rho + 1.0))
+
+
 class TestTrapezoidWeight:
     def test_plateau_ramps_support(self):
         w = explicit.TrapezoidWeight(x=100.0, h=50.0, delta=10.0)
-        assert explicit.weight_eval(w, 100.0) == 1.0
-        assert explicit.weight_eval(w, 150.0) == 1.0
-        assert explicit.weight_eval(w, 125.0) == 1.0
-        assert explicit.weight_eval(w, 90.0) == 0.0
-        assert explicit.weight_eval(w, 160.0) == 0.0
-        assert explicit.weight_eval(w, 95.0) == 0.5
-        assert explicit.weight_eval(w, 155.0) == 0.5
-        assert explicit.weight_eval(w, 50.0) == 0.0
-        assert explicit.weight_eval(w, 1000.0) == 0.0
+        assert weight_eval(w, 100.0) == 1.0
+        assert weight_eval(w, 150.0) == 1.0
+        assert weight_eval(w, 125.0) == 1.0
+        assert weight_eval(w, 90.0) == 0.0
+        assert weight_eval(w, 160.0) == 0.0
+        assert weight_eval(w, 95.0) == 0.5
+        assert weight_eval(w, 155.0) == 0.5
+        assert weight_eval(w, 50.0) == 0.0
+        assert weight_eval(w, 1000.0) == 0.0
 
     def test_invalid_shapes(self):
         with pytest.raises(DomainError):
@@ -43,11 +68,11 @@ class TestTrapezoidWeight:
             return
         w = explicit.TrapezoidWeight(x=x, h=h, delta=d)
         for t in np.linspace(x - 2 * d, x + h + 2 * d, 41):
-            v = explicit.weight_eval(w, float(t))
+            v = weight_eval(w, float(t))
             assert 0.0 <= v <= 1.0
             # the weight is symmetric about the plateau midpoint
             mirror = (2 * x + h) - float(t)
-            assert v == pytest.approx(explicit.weight_eval(w, mirror),
+            assert v == pytest.approx(weight_eval(w, mirror),
                                       abs=1e-9)
 
 
@@ -211,7 +236,7 @@ class TestSDelta:
     def test_direct_against_naive(self, base_1e4):
         x, h, d = 1000.0, 100.0, 10.0
         w = explicit.TrapezoidWeight(x=x, h=h, delta=d)
-        want = math.fsum(naive_lambda(n) * explicit.weight_eval(w, float(n))
+        want = math.fsum(naive_lambda(n) * weight_eval(w, float(n))
                          for n in range(2, 1200))
         assert explicit.s_delta_direct(x, h, d, base_1e4) == pytest.approx(
             want, rel=1e-12)
@@ -237,7 +262,23 @@ class TestSDelta:
 
         monkeypatch.setattr(arith, "lambda_segment", counting_segment)
         explicit.s_delta_via_psi1(10 ** 5 + 0.5, 5000.0, 300.0, base_1e4)
-        assert calls == [(1, 10 ** 5 + 5300)]
+        # the support (x - delta, x + h + delta]: below it the four
+        # signed terms of each prime power cancel exactly
+        assert calls == [(10 ** 5 - 300, 10 ** 5 + 5300)]
+
+    def test_support_walk_equals_full_walk(self, base_1e4):
+        # integral triples, so every endpoint is exact: the supports
+        # straddle the full walk's segment boundaries near 2^20 and
+        # 3*2^20, the third is longer than one segment, and x = delta
+        # starts the walk at 0
+        for x, h, d in ((2 ** 20 - 1000, 3000, 500),
+                        (3 * 2 ** 20 - 10, 50, 20),
+                        (3 * 2 ** 19, 3 * 2 ** 19 - 1, 4000),
+                        (10 ** 4, 10 ** 4, 10 ** 4)):
+            x, h, d = float(x), float(h), float(d)
+            w = explicit.TrapezoidWeight(x=x, h=h, delta=d)
+            full = explicit._psi1_sum(w.ends, base_1e4, 1) / d
+            assert explicit.s_delta_via_psi1(x, h, d, base_1e4) == full
 
     def test_direct_route_sieves_one_segment_at_a_time(self, base_1e4,
                                                        monkeypatch):
@@ -311,7 +352,7 @@ class TestSRho:
                                limit=400)
         im, _ = integrate.quad(inner, x + h, x + h + d, args=("im",),
                                limit=400)
-        got = explicit.s_rho(gamma, x, h, d)
+        got = s_rho(gamma, x, h, d)
         assert got.real == pytest.approx(re, abs=1e-7)
         assert got.imag == pytest.approx(im, abs=1e-7)
 
@@ -321,20 +362,16 @@ class TestSRho:
         x, h, d = 1e5, 1e3, 1e2
         for gamma in (14.1347, 50.0, 333.3, 1000.0, 9999.0):
             bound = 4.0 * (x + h + d) ** 1.5 / gamma ** 2
-            assert abs(explicit.s_rho(gamma, x, h, d)) <= bound
+            assert abs(s_rho(gamma, x, h, d)) <= bound
 
     def test_conjugate_pairing_is_real(self):
         x, h, d = 1000.0, 100.0, 10.0
         g = 21.022039639
-        paired = explicit.s_rho(g, x, h, d) + explicit.s_rho(-g, x, h, d)
+        paired = s_rho(g, x, h, d) + s_rho(-g, x, h, d)
         ends = explicit.TrapezoidWeight(x=x, h=h, delta=d).ends
         folded = explicit._s_rho_sums(np.array([g]), ends)[0]
         assert paired.imag == pytest.approx(0.0, abs=1e-9)
         assert folded == pytest.approx(paired.real, rel=1e-9)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            explicit.s_rho(0.0, 1000.0, 100.0, 10.0)
 
 
 class TestTrivialZeroTail:
