@@ -16,7 +16,7 @@ from conftest import naive_lambda
 
 def weight_eval(w: explicit.TrapezoidWeight, n: float) -> float:
     """The trapezoid weight at one point, branch by branch: the scalar
-    reference for explicit._weights_vec."""
+    reference for explicit._weights_vec and the naive S_Delta sum."""
     x, h, d = w.x, w.h, w.delta
     if n <= x - d or n >= x + h + d:
         return 0.0
@@ -51,6 +51,16 @@ class TestTrapezoidWeight:
         assert weight_eval(w, 155.0) == 0.5
         assert weight_eval(w, 50.0) == 0.0
         assert weight_eval(w, 1000.0) == 0.0
+
+    def test_vector_matches_scalar(self):
+        # both ramps, the plateau, the support's ends and beyond
+        for x, h, d in ((100.0, 50.0, 10.0), (1000.5, 30.25, 7.125)):
+            w = explicit.TrapezoidWeight(x=x, h=h, delta=d)
+            ns = np.linspace(x - 2 * d, x + h + 2 * d, 97)
+            ns = np.concatenate((ns, [x - d, x, x + h, x + h + d]))
+            got = explicit._weights_vec(w, ns)
+            want = [weight_eval(w, n) for n in ns.tolist()]
+            assert got.tolist() == pytest.approx(want, abs=1e-12)
 
     def test_invalid_shapes(self):
         with pytest.raises(DomainError):
