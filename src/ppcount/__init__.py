@@ -1,5 +1,5 @@
 """Exact and analytic counting of numbers of the form p * m^k: sieved
-counts, zeta(k) * li(x) main terms, and explicit-formula diagnostics
+counts, their per-m li main terms, and explicit-formula diagnostics
 over tables of Riemann zeta zeros."""
 
 __version__ = "0.1.0"
@@ -8,10 +8,10 @@ from .analytic import (exponents, interval_main_term, li, li_interval,
                        zeta_int)
 from .arith import (LambdaSegment, PrimeTable, is_prime, lambda_segment,
                     prime_count_interval, psi, sieve_primes)
-from .counting import (CountResult, CstarResult, PrimePowerCorrection,
-                       annotate_count, count_exact, count_interval,
+from .counting import (count_exact, count_interval, count_main_terms,
                        count_oracle, cstar, interval_deviation,
-                       interval_scaling, prime_power_correction)
+                       interval_scaling, normalized_error,
+                       prime_power_correction)
 from .errors import (CapacityError, CoverageError, DomainError,
                      IntegrityError, PPCountError, TableParseError)
 from .explicit import (TrapezoidWeight, ZeroSumBreakdown, psi1_exact,

@@ -30,7 +30,7 @@ from decimal import Decimal, InvalidOperation
 import numpy as np
 
 from . import __version__, arith, counting, explicit, verify, zeros
-from .analytic import LI_CONVENTION, exponents
+from .analytic import LI_CONVENTION, exponents, zeta_int
 from .errors import (CapacityError, CoverageError, DomainError,
                      IntegrityError, NetworkError, TableParseError)
 
@@ -41,7 +41,7 @@ EXIT_IO = 4
 EXIT_NETWORK = 5
 EXIT_VALIDATION = 6
 
-CSV_SCHEMA_VERSION = "2"
+CSV_SCHEMA_VERSION = "3"
 
 # the largest x (h for interval) a command sieves
 DEFAULT_SIEVE_CEILING = 10 ** 10
@@ -140,21 +140,29 @@ def _base_for(x: int) -> arith.PrimeTable:
 # Each command returns its rows and the zero table it read, or None;
 # main prints them.
 
+def _count_row(x: int, k: int, count: int) -> dict:
+    """A row of count or sweep: C_k(x) against its per-m main term, with
+    the leading order zeta(k) li(x) beside it."""
+    main, leading = counting.count_main_terms(x, k)
+    return {"x": x, "k": k, "count": count, "main_term": main,
+            "leading_term": leading, "error": count - main,
+            "normalized_error": counting.normalized_error(count - main, x, k),
+            "A": exponents(k)}
+
+
 def cmd_count(args):
     x, k = args.x, args.k
     _check_ceiling("x", x, args.sieve_ceiling, LADDER_REACH)
-    results = []
-    if args.method != "exact":
-        # first: the oracle refuses x past its own ceiling before it
-        # allocates, so nothing is sieved for a refused run
-        results.append(counting.annotate_count(
-            x, k, counting.count_oracle(x, k), method="kfree-oracle"))
+    # the oracle refuses x past its own ceiling before it allocates, so
+    # nothing is sieved for a refused run
+    oracle = counting.count_oracle(x, k) if args.method != "exact" else None
+    rows = []
     if args.method != "oracle":
         arith.check_lucy_reach(x)
-        results.insert(0, counting.count_exact(x, k, _base_for(x)))
-    rows = [{"x": x, "k": k, "count": r.count, "main_term": r.main_term,
-             "normalized_error": r.normalized_error, "A": exponents(k),
-             "method": r.method} for r in results]
+        count = counting.count_exact(x, k, _base_for(x))
+        rows.append({**_count_row(x, k, count), "method": "pair-enumeration"})
+    if oracle is not None:
+        rows.append({**_count_row(x, k, oracle), "method": "kfree-oracle"})
     return rows, None
 
 
@@ -180,25 +188,24 @@ def cmd_sweep(args):
     arith.check_lucy_reach(args.x_max)
     grid = _sweep_grid(args.x_min, args.x_max, args.points)
     base = _base_for(args.x_max)
-    rows = []
-    for x in grid.tolist():
-        r = counting.count_exact(int(x), args.k, base)
-        rows.append({"x": r.x, "k": r.k, "count": r.count,
-                     "main_term": r.main_term,
-                     "error": r.count - r.main_term,
-                     "normalized_error": r.normalized_error})
-    return rows, None
+    return [_count_row(x, args.k, counting.count_exact(x, args.k, base))
+            for x in grid.tolist()], None
 
 
 def cmd_cstar(args):
-    _check_ceiling("x", args.x, args.sieve_ceiling)
-    base = _base_for(args.x)
-    r = counting.cstar(args.x, args.k, base)
-    corr = counting.prime_power_correction(args.x, args.k, base)
-    rows = [{"x": r.x, "k": r.k, "cstar": r.value, "main_term": r.main_term,
-             "normalized_error": r.normalized_error,
-             "prime_power_correction": corr.value,
-             "correction_scale_ratio": corr.scale_ratio}]
+    x, k = args.x, args.k
+    _check_ceiling("x", x, args.sieve_ceiling)
+    base = _base_for(x)
+    value = counting.cstar(x, k, base)
+    corr = counting.prime_power_correction(x, k, base)
+    main = zeta_int(k) * x
+    # the correction's proof-shaped scale: x^(1/2) (log x if k = 2 else 1)
+    scale = math.sqrt(x) * (math.log(x) if k == 2 else 1.0)
+    rows = [{"x": x, "k": k, "cstar": value, "main_term": main,
+             "normalized_error": counting.normalized_error(value - main,
+                                                           x, k),
+             "prime_power_correction": corr,
+             "correction_scale_ratio": corr / scale if x >= 2 else 0.0}]
     return rows, None
 
 
@@ -244,8 +251,13 @@ def cmd_interval(args):
         row["delta"] = delta
         row["predicted_scale"] = args.f ** -0.5
     if table is not None:
-        row["s_delta_direct"] = explicit.s_delta_direct(w.x, w.h, w.delta,
-                                                        base)
+        direct = explicit.s_delta_direct(w.x, w.h, w.delta, base)
+        via_zeros, bound = explicit.s_delta_via_zeros(w.x, w.h, w.delta,
+                                                      table)
+        row["s_delta_direct"] = direct
+        row["s_delta_via_zeros"] = via_zeros
+        row["s_delta_gap"] = abs(via_zeros - direct)
+        row["s_delta_bound"] = bound
         bd = explicit.zero_sum_breakdown(w.x, w.h, w.delta, table)
         row["ratio_low"], row["ratio_mid"], row["ratio_high"] = bd.ratios
         row["zero_sum_remainder_bound"] = bd.remainder_bound
@@ -339,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--zeros", default=None)
     c.add_argument("--limit", type=_int_arg, default=None)
     c.add_argument("--with-zeros", action="store_true",
-                   help="add S_Delta and zero-sum breakdown diagnostics")
+                   help="add S_Delta, summed directly and from the zeros, "
+                        "and the zero-sum breakdown")
     c.set_defaults(fn=cmd_interval)
 
     c = sub.add_parser("zeros-stats", help="zero-table statistics")

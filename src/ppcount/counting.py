@@ -1,7 +1,8 @@
 """Counting functions for integers of the form p * m^k, their weighted
-(von Mangoldt) analogues, short-interval counts, normalized errors
-against the zeta(k) * li(x) main term, and short-interval deviations
-against the per-m main term (analytic.interval_main_term).
+(von Mangoldt) analogues and short-interval counts, all plain numbers;
+and, apart from them, the comparisons with the analytic main terms:
+the per-m main term of C_k(x) beside its leading order zeta(k) li(x),
+normalized errors, and short-interval deviations.
 
 Two independent routes compute the headline count: summing pi(x / m^k)
 over m (count_exact, every pi from the table or from the Lucy_Hedgehog
@@ -13,7 +14,6 @@ must agree exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 import numpy as np
 
 from . import arith
@@ -22,7 +22,7 @@ from .arith import PrimeTable, iroot
 from .errors import CapacityError, DomainError
 
 # Beyond k = 64 only m = 1 contributes for any feasible x; capping
-# avoids needless giant-power arithmetic. Results report the caller's k.
+# avoids needless giant-power arithmetic.
 K_CAP = 64
 
 ORACLE_CEILING = 10 ** 7
@@ -30,31 +30,6 @@ ORACLE_CEILING = 10 ** 7
 # count_interval builds its windows for this many m at a time, about
 # 2 MB of int64 arrays
 _M_BLOCK = 1 << 16
-
-
-@dataclass(frozen=True)
-class CountResult:
-    """Exact count with its analytic main term and normalized error
-    e_k(x) = (count - zeta(k) li(x)) / (x^(1/2) log^A(k) x)."""
-
-    x: int
-    k: int
-    count: int
-    main_term: float
-    normalized_error: float
-    method: str  # "pair-enumeration" | "kfree-oracle"
-
-
-@dataclass(frozen=True)
-class CstarResult:
-    """Weighted count C*_k(x) = sum of Lambda(n) over n m^k <= x, with
-    the normalized error (C* - zeta(k) x)/(x^(1/2) log^A x)."""
-
-    x: int
-    k: int
-    value: float
-    main_term: float
-    normalized_error: float
 
 
 def _check_xk(x: int, k: int) -> int:
@@ -73,22 +48,7 @@ def _m_powers(x: int, k: int, base: PrimeTable) -> np.ndarray:
     return np.arange(1, iroot(x, k) + 1, dtype=np.int64) ** k
 
 
-def _normalized(diff: float, x: int, k: int) -> float:
-    if x < 2:
-        return 0.0
-    return diff / (math.sqrt(x) * math.log(x) ** exponents(k))
-
-
-def annotate_count(x: int, k: int, count: int,
-                   method: str = "pair-enumeration") -> CountResult:
-    """Attach the main term and normalized error to a raw count."""
-    main = zeta_int(k) * li(x) if x > 1 else 0.0
-    return CountResult(x=x, k=k, count=count, main_term=main,
-                       normalized_error=_normalized(count - main, x, k),
-                       method=method)
-
-
-def count_exact(x: int, k: int, base: PrimeTable) -> CountResult:
+def count_exact(x: int, k: int, base: PrimeTable) -> int:
     """C_k(x) as sum over m <= x^(1/k) of pi(x // m^k).
 
     Every threshold has the form x // n, so one call of
@@ -97,11 +57,12 @@ def count_exact(x: int, k: int, base: PrimeTable) -> CountResult:
     O(x^(3/4)) time and O(x^(1/2)) memory, which sieves nothing.
     """
     counts = arith.prime_counts_at(x // _m_powers(x, k, base), base)
-    return annotate_count(x, k, int(np.sum(counts)))
+    return int(np.sum(counts))
 
 
-def count_oracle_prefix(x: int, k: int) -> np.ndarray:
-    """Cumulative C_k(t) for t = 0..x by per-n k-free classification.
+def _oracle_hits(x: int, k: int) -> np.ndarray:
+    """hits[n] for n = 0..x: whether n = p * m^k, by per-n k-free
+    classification.
 
     Independent of the pi-summation route: n = p * m^k exactly when
     the k-free part of n (n with p^k divided out once per multiple of
@@ -121,51 +82,36 @@ def count_oracle_prefix(x: int, k: int) -> np.ndarray:
             while q <= x:
                 kfree[q:: q] //= pk
                 q *= pk
-    return np.cumsum(prime[kfree], dtype=np.int64)
+    return prime[kfree]
+
+
+def count_oracle_prefix(x: int, k: int) -> np.ndarray:
+    """Cumulative C_k(t) for t = 0..x by the k-free route."""
+    return np.cumsum(_oracle_hits(x, k), dtype=np.int64)
 
 
 def count_oracle(x: int, k: int) -> int:
-    """#{n <= x : the k-free part of n is prime}."""
-    return int(count_oracle_prefix(x, k)[x])
+    """#{n <= x : the k-free part of n is prime}; no int64 prefix array
+    is built for one count."""
+    return int(np.count_nonzero(_oracle_hits(x, k)))
 
 
-def cstar(x: int, k: int, base: PrimeTable) -> CstarResult:
+def cstar(x: int, k: int, base: PrimeTable) -> float:
     """C*_k(x) = sum of Lambda(n) over n m^k <= x, via psi(x // m^k)."""
     psis = arith.weighted_lambda_sums_at(x // _m_powers(x, k, base)[::-1],
                                          base)
-    value = math.fsum(psis.tolist())
-    main = zeta_int(k) * x
-    return CstarResult(x=x, k=k, value=value, main_term=main,
-                       normalized_error=_normalized(value - main, x, k))
+    return math.fsum(psis.tolist())
 
 
-@dataclass(frozen=True)
-class PrimePowerCorrection:
-    """The higher-prime-power contribution sum_{p^r m^k <= x, r >= 2}
-    log p, with its ratio to the proof-shaped scale
-    x^(1/2) * (log x if k = 2 else 1)."""
-
-    x: int
-    k: int
-    value: float
-    scale_ratio: float
-
-
-def prime_power_correction(x: int, k: int,
-                           base: PrimeTable) -> PrimePowerCorrection:
-    """Each proper prime power p^r <= x (r >= 2) of the table contributes
-    log p once per m with m^k <= x // p^r."""
+def prime_power_correction(x: int, k: int, base: PrimeTable) -> float:
+    """The higher-prime-power part of C*_k(x), the sum of log p over
+    p^r m^k <= x with r >= 2: each proper prime power p^r <= x of the
+    table contributes log p once per m with m^k <= x // p^r."""
     mk = _m_powers(x, k, base)
     n, p = base.proper_powers
     j = np.searchsorted(n, x, side="right")
     m_count = np.searchsorted(mk, x // n[:j], side="right")
-    value = math.fsum((np.log(p[:j].astype(np.float64)) * m_count).tolist())
-    if x >= 2:
-        scale = math.sqrt(x) * (math.log(x) if k == 2 else 1.0)
-        ratio = value / scale
-    else:
-        ratio = 0.0
-    return PrimePowerCorrection(x=x, k=k, value=value, scale_ratio=ratio)
+    return math.fsum((np.log(p[:j].astype(np.float64)) * m_count).tolist())
 
 
 def count_interval(x: int, h: int, k: int, base: PrimeTable, *,
@@ -194,6 +140,31 @@ def count_interval(x: int, h: int, k: int, base: PrimeTable, *,
             total += arith.prime_count_interval(max(a, 1), b, base,
                                                 seg_len=seg_len)
     return total
+
+
+def normalized_error(diff: float, x: int, k: int) -> float:
+    """diff / (x^(1/2) log^A(k) x), the scale of the RH-conditional error
+    term; 0.0 for x < 2."""
+    if x < 2:
+        return 0.0
+    return diff / (math.sqrt(x) * math.log(x) ** exponents(k))
+
+
+def count_main_terms(x: int, k: int) -> tuple[float, float]:
+    """(main, leading) terms for C_k(x): the per-m main term, the sum
+    over m of the integral of dt/log t over [2, x/m^k], and the leading
+    order zeta(k) li(x).
+
+    The count is the sum of pi(x / m^k), so the per-m term is the one it
+    follows. zeta(k) li(x) misses a secondary term of order x / log^2 x,
+    and e_k against it grows with x: 4.23 (k = 2) and 35.6 (k = 3) at
+    x = 10^12, where the per-m term gives -0.0022 and -0.0050. Both are
+    0.0 for x < 2.
+    """
+    k = _check_xk(x, k)
+    if x < 2:
+        return 0.0, 0.0
+    return interval_main_term(1, x - 1, k), zeta_int(k) * li(x)
 
 
 def interval_deviation(x: int, h: int, k: int,

@@ -7,7 +7,7 @@ the CLI `ppcount verify` and this suite can never drift apart.
 
 import pytest
 
-from ppcount import verify
+from ppcount import counting, verify
 
 CRITERIA = [
     (1, "oracle equivalence, exhaustive to 1e4 and spot 1e5/1e6",
@@ -40,6 +40,17 @@ def test_acceptance_criterion(number, description, check):
     print(f"[{status}] criterion {number}: {description} "
           f"-- {result.detail} ({result.elapsed_ms:.0f} ms)")
     assert result.passed, f"criterion {number}: {result.detail}"
+
+
+def test_oracle_equivalence_computes_no_main_term(monkeypatch):
+    # criterion 1 compares some 40 000 plain counts; a main term attached
+    # to each count would make it 25 times slower
+    def refuse(*args):
+        raise AssertionError("a main term was computed")
+
+    monkeypatch.setattr(counting, "li", refuse)
+    monkeypatch.setattr(counting, "interval_main_term", refuse)
+    assert verify.check_oracle_equivalence().passed
 
 
 class TestRunAll:

@@ -55,6 +55,27 @@ class TestCount:
         assert {r["method"] for r in rows} == {"pair-enumeration",
                                                "kfree-oracle"}
 
+    def test_rows_against_main_terms(self, capsys):
+        # count and sweep print the same columns; count adds method
+        rc, out, _ = run(capsys, "--format", "json", "count", "--x", "1e6",
+                         "--k", "3", "--method", "both")
+        assert rc == 0
+        exact, oracle = json.loads(out)["rows"]
+        assert exact.pop("method") == "pair-enumeration"
+        assert oracle.pop("method") == "kfree-oracle"
+        assert exact == oracle
+        main, leading = counting.count_main_terms(10 ** 6, 3)
+        assert exact["main_term"] == main == interval_main_term(
+            1, 10 ** 6 - 1, 3)
+        assert exact["leading_term"] == leading
+        assert exact["error"] == exact["count"] - main
+        assert exact["normalized_error"] == counting.normalized_error(
+            exact["count"] - main, 10 ** 6, 3)
+        rc, out, _ = run(capsys, "--format", "json", "sweep", "--k", "3",
+                         "--x-min", "1e3", "--x-max", "1e6", "--points", "2")
+        assert rc == 0
+        assert json.loads(out)["rows"][-1] == exact
+
     def test_scientific_notation_accepted(self, capsys):
         rc, out, _ = run(capsys, "--format", "json",
                          "count", "--x", "1e3", "--k", "2")
@@ -133,7 +154,7 @@ class TestConfig:
     """Every setting is an argument: the global --sieve-ceiling, and
     --zeros for the zero table."""
 
-    def test_capacity_from_config(self, capsys, monkeypatch):
+    def test_capacity_from_sieve_ceiling(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.arith, "sieve_primes", None)
         for argv in (["count", "--x", "1e6", "--k", "2"],
                      ["sweep", "--k", "2", "--x-min", "10", "--x-max", "1e6"],
@@ -180,7 +201,7 @@ class TestConfig:
 
         def fake_count_exact(x, k, base):
             seen.append(x)
-            return counting.annotate_count(x, k, 0)
+            return 0
 
         monkeypatch.setattr(cli.counting, "count_exact", fake_count_exact)
         rc, out, _ = run(capsys, "--format", "json",
@@ -247,7 +268,7 @@ class TestConfig:
         assert rc == code
         assert out == "" and text in err
 
-    def test_config_zeros_path(self, capsys, tmp_path, zeros100):
+    def test_zeros_path(self, capsys, tmp_path, zeros100):
         zp = tmp_path / "z.txt"
         zp.write_text("\n".join(f"{g:.9f}" for g in zeros100.ordinates))
         rc, out, _ = run(capsys, "--format", "json", "zeros-stats",
@@ -274,14 +295,15 @@ class TestSweep:
         rc, out, _ = run(capsys, "--format", "csv", "sweep", "--k", "2",
                          "--x-min", "100", "--x-max", "1e4", "--points", "6")
         assert rc == 0
-        assert out.splitlines()[0] == ("x,k,count,main_term,error,"
-                                       "normalized_error,manifest_id")
+        assert out.splitlines()[0] == ("x,k,count,main_term,leading_term,"
+                                       "error,normalized_error,A,"
+                                       "manifest_id")
         rows = parse_csv(out)
         assert len(rows) == 6
         xs = [int(r["x"]) for r in rows]
         assert xs == sorted(xs) and xs[0] == 100 and xs[-1] == 10 ** 4
         for r in rows:
-            want = counting.count_exact(int(r["x"]), 2, base_1e4).count
+            want = counting.count_exact(int(r["x"]), 2, base_1e4)
             assert int(r["count"]) == want
         assert len({r["manifest_id"] for r in rows}) == 1
 
@@ -323,7 +345,7 @@ class TestCstar:
         row = payload["rows"][0]
         base = sieve_primes(1000)
         want = counting.cstar(1000, 2, base)
-        assert row["cstar"] == pytest.approx(want.value, rel=1e-12)
+        assert row["cstar"] == pytest.approx(want, rel=1e-12)
         assert row["prime_power_correction"] > 0
         assert payload["manifest"]["li_convention"]
 
@@ -434,6 +456,13 @@ class TestInterval:
         for key in ("s_delta_direct", "ratio_low", "ratio_mid",
                     "ratio_high"):
             assert key in row
+        # S_Delta from the zeros: 20 360 833.66 against the direct
+        # 20 360 834.23, inside the truncation bound of about 250
+        assert row["s_delta_gap"] == abs(row["s_delta_via_zeros"]
+                                         - row["s_delta_direct"])
+        assert row["s_delta_gap"] <= row["s_delta_bound"]
+        assert row["s_delta_via_zeros"] == pytest.approx(20360833.661,
+                                                         abs=0.01)
         # the manifest records the parsed arguments, not the derived h
         params = payload["manifest"]["parameters"]
         parsed = vars(cli.build_parser().parse_args(argv))
@@ -450,6 +479,7 @@ class TestInterval:
         row = json.loads(out)["rows"][0]
         assert "s_delta_direct" in row
         assert "ratio_low" in row
+        assert row["s_delta_gap"] <= row["s_delta_bound"]
 
     def test_missing_h_and_f(self, capsys):
         rc, _, _ = run(capsys, "interval", "--x", "1e6", "--k", "2")
@@ -472,7 +502,7 @@ class TestInterval:
         assert row["expected"] == interval_main_term(10 ** 6, 10 ** 6, 2)
         assert row["rel_deviation"] == pytest.approx(
             row["count"] / row["expected"] - 1.0)
-        assert payload["manifest"]["schema_version"] == "2"
+        assert payload["manifest"]["schema_version"] == "3"
 
 
 class TestZerosStats:

@@ -1,11 +1,12 @@
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
-from ppcount import arith, counting
-from ppcount.analytic import li, zeta_int
+from ppcount import arith, cli, counting
+from ppcount.analytic import interval_main_term, li, zeta_int
 from ppcount.errors import CapacityError, CoverageError, DomainError
 
 from conftest import trial_division_primes
@@ -22,6 +23,12 @@ def brute_count(x, k):
     return len(hits)
 
 
+def cli_row(capsys, *argv):
+    """The one row `ppcount --format json <argv>` prints."""
+    assert cli.main(["--format", "json", *argv]) == 0
+    return json.loads(capsys.readouterr().out)["rows"][0]
+
+
 def brute_cstar(x, k):
     """sum of Lambda(n) over n * m^k <= x, by direct double loop."""
     from conftest import naive_lambda
@@ -36,21 +43,21 @@ def brute_cstar(x, k):
 
 class TestCountExact:
     def test_known_values(self, base100):
-        assert counting.count_exact(10, 2, base100).count == 5
-        assert counting.count_exact(100, 2, base100).count == 46
-        assert counting.count_exact(10, 3, base100).count == 4
-        assert counting.count_exact(1, 2, base100).count == 0
+        assert counting.count_exact(10, 2, base100) == 5
+        assert counting.count_exact(100, 2, base100) == 46
+        assert counting.count_exact(10, 3, base100) == 4
+        assert counting.count_exact(1, 2, base100) == 0
 
     def test_against_pair_enumeration(self, base_1e4):
         for k in (2, 3, 5):
             for x in (30, 100, 777, 2000):
-                assert (counting.count_exact(x, k, base_1e4).count
+                assert (counting.count_exact(x, k, base_1e4)
                         == brute_count(x, k)), (x, k)
 
     def test_matches_oracle_route(self, base_1e4):
         for k in (2, 3, 4):
             for x in (10 ** 3, 10 ** 4, 12345):
-                assert (counting.count_exact(x, k, base_1e4).count
+                assert (counting.count_exact(x, k, base_1e4)
                         == counting.count_oracle(x, k))
 
     def test_lucy_route_against_oracle(self):
@@ -68,25 +75,26 @@ class TestCountExact:
             prefix = counting.count_oracle_prefix(2 * 10 ** 5, k)
             for x in xs:
                 base = bases[math.isqrt(x) + 1]
-                assert (counting.count_exact(x, k, base).count
+                assert (counting.count_exact(x, k, base)
                         == prefix[x]), (x, k)
 
     def test_large_k_saturates(self, base100):
         # beyond k = 64 only m = 1 can contribute, so C_k(x) = pi(x)
-        assert counting.count_exact(100, 500, base100).count == 25
-        assert (counting.count_exact(100, 500, base100).count
-                == counting.count_exact(100, 64, base100).count)
+        assert counting.count_exact(100, 500, base100) == 25
+        assert (counting.count_exact(100, 500, base100)
+                == counting.count_exact(100, 64, base100))
 
-    def test_large_k_is_reported_as_given(self, base100):
-        # K_CAP bounds the arithmetic, not the k a result reports
-        assert counting.count_exact(1000, 99, base100).k == 99
-        assert counting.cstar(1000, 99, base100).k == 99
-        assert counting.prime_power_correction(1000, 99, base100).k == 99
+    def test_large_k_is_reported_as_given(self, base100, capsys):
+        # K_CAP bounds the arithmetic, not the k a row reports
+        for fn in (counting.count_exact, counting.cstar,
+                   counting.prime_power_correction):
+            assert fn(1000, 99, base100) == fn(1000, 64, base100)
+        assert cli_row(capsys, "count", "--x", "1000", "--k", "99")["k"] == 99
 
     def test_monotonicity_and_floor(self, base_1e4):
         prev = -1
         for x in range(1, 400):
-            c = counting.count_exact(x, 2, base_1e4).count
+            c = counting.count_exact(x, 2, base_1e4)
             assert c >= prev
             # m = 1 alone gives pi(x)
             assert c >= np.searchsorted(base_1e4.primes, x, side="right")
@@ -94,17 +102,37 @@ class TestCountExact:
         # larger k never counts more (each n = p m^k is also counted
         # against a weaker constraint only if its k-free part allows it)
         for x in (100, 1000, 9999):
-            cs = [counting.count_exact(x, k, base_1e4).count
+            cs = [counting.count_exact(x, k, base_1e4)
                   for k in (2, 3, 4, 5)]
             assert all(a >= b for a, b in zip(cs, cs[1:]))
 
-    def test_annotation_fields(self, base_1e4):
-        r = counting.count_exact(10 ** 4, 2, base_1e4)
-        assert r.main_term == pytest.approx(zeta_int(2) * li(10 ** 4),
-                                            rel=1e-12)
-        want = (r.count - r.main_term) / (100.0 * math.log(10 ** 4) ** 2)
-        assert r.normalized_error == pytest.approx(want, rel=1e-12)
-        assert r.method == "pair-enumeration"
+    def test_main_terms(self):
+        # the per-m term is the sum over m of li(x / m^k) - li(2)
+        x = 10 ** 4
+        main, leading = counting.count_main_terms(x, 2)
+        want = math.fsum(li(x / m ** 2) - li(2.0)
+                         for m in range(1, arith.iroot(x // 2, 2) + 1))
+        assert main == pytest.approx(want, rel=1e-9)
+        assert main == interval_main_term(1, x - 1, 2)
+        assert leading == pytest.approx(zeta_int(2) * li(x), rel=1e-12)
+        assert counting.normalized_error(main, x, 2) == pytest.approx(
+            main / (100.0 * math.log(x) ** 2), rel=1e-12)
+        # no window reaches above t = 2 until x > 2
+        assert counting.count_main_terms(2, 2) == (0.0, zeta_int(2) * li(2))
+        assert counting.count_main_terms(1, 3) == (0.0, 0.0)
+        assert counting.normalized_error(5.0, 1, 2) == 0.0
+        with pytest.raises(DomainError):
+            counting.count_main_terms(100, 1)
+
+    def test_main_terms_at_1e12(self):
+        # C_2 and C_3 at 10^12 from the Lucy recurrence: the per-m term
+        # holds e_k near 0, where zeta(k) li(x) leaves e_2 > 4, e_3 > 30
+        x = 10 ** 12
+        for k, count, lo in ((2, 65_093_427_117, 4.0),
+                             (3, 46_191_465_512, 30.0)):
+            main, leading = counting.count_main_terms(x, k)
+            assert abs(counting.normalized_error(count - main, x, k)) < 0.01
+            assert counting.normalized_error(count - leading, x, k) > lo
 
     def test_errors(self, base100):
         with pytest.raises(DomainError):
@@ -128,6 +156,7 @@ class TestCountOracle:
                     hit[p * m ** k] = 1
             prefix = counting.count_oracle_prefix(2000, k)
             assert prefix.tolist() == np.cumsum(hit).tolist(), k
+            assert counting.count_oracle(2000, k) == prefix[2000]
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
@@ -138,20 +167,20 @@ class TestCstar:
     def test_small_value(self, base100):
         # C*_2(10) = psi(10) + psi(2) = 7.83... + log 2
         want = brute_cstar(10, 2)
-        assert counting.cstar(10, 2, base100).value == pytest.approx(
+        assert counting.cstar(10, 2, base100) == pytest.approx(
             want, rel=1e-12)
 
     def test_against_brute(self, base_1e4):
         for k in (2, 3):
             for x in (50, 300, 1000):
-                assert counting.cstar(x, k, base_1e4).value == pytest.approx(
+                assert counting.cstar(x, k, base_1e4) == pytest.approx(
                     brute_cstar(x, k), rel=1e-10)
 
-    def test_trivial_and_main_term(self, base100):
-        r = counting.cstar(1, 2, base100)
-        assert r.value == 0.0
-        r = counting.cstar(1000, 2, sieve := arith.sieve_primes(1000))
-        assert r.main_term == pytest.approx(zeta_int(2) * 1000, rel=1e-12)
+    def test_trivial_and_main_term(self, base100, capsys):
+        assert counting.cstar(1, 2, base100) == 0.0
+        row = cli_row(capsys, "cstar", "--x", "1000", "--k", "2")
+        assert row["main_term"] == pytest.approx(zeta_int(2) * 1000,
+                                                 rel=1e-12)
 
     def test_coverage_checked_first(self, base100):
         with pytest.raises(CoverageError):
@@ -162,16 +191,15 @@ class TestPrimePowerCorrection:
     def test_hand_value(self, base100):
         # contributions <= 10 with k = 2: p^r m^2 with r >= 2 are
         # 4, 8, 9 (m = 1), giving log 2 + log 2 + log 3
-        r = counting.prime_power_correction(10, 2, base100)
-        assert r.value == pytest.approx(2 * math.log(2) + math.log(3),
-                                        rel=1e-12)
+        assert counting.prime_power_correction(10, 2, base100) == (
+            pytest.approx(2 * math.log(2) + math.log(3), rel=1e-12))
 
     def test_identity_with_theta_sum(self, base_1e4):
         # cstar - correction must equal sum over p m^k <= x of log p
         for k in (2, 3):
             for x in (100, 999, 5000):
-                lhs = (counting.cstar(x, k, base_1e4).value
-                       - counting.prime_power_correction(x, k, base_1e4).value)
+                lhs = (counting.cstar(x, k, base_1e4)
+                       - counting.prime_power_correction(x, k, base_1e4))
                 want = math.fsum(
                     math.log(p)
                     for p in trial_division_primes(x)
@@ -191,20 +219,20 @@ class TestPrimePowerCorrection:
                             terms.append(math.log(p))
                             m += 1
                         pr *= p
-                got = counting.prime_power_correction(x, k, base_1e4).value
+                got = counting.prime_power_correction(x, k, base_1e4)
                 assert got == pytest.approx(math.fsum(terms), rel=1e-12)
 
-    def test_scale_ratio_stays_bounded(self, base_1e4):
-        for x in (10 ** 3, 10 ** 5, 10 ** 7):
-            r = counting.prime_power_correction(x, 2, base_1e4)
-            assert 0.0 < r.scale_ratio < 3.0
+    def test_scale_ratio_stays_bounded(self, capsys):
+        for x in ("1e3", "1e5", "1e7"):
+            row = cli_row(capsys, "cstar", "--x", x, "--k", "2")
+            assert 0.0 < row["correction_scale_ratio"] < 3.0
 
 
 class TestCountInterval:
     def test_matches_count_difference(self, base_1e4):
         for x, h, k in ((1000, 500, 2), (10 ** 4, 333, 3), (10 ** 5, 1, 2)):
-            want = (counting.count_exact(x + h, k, base_1e4).count
-                    - counting.count_exact(x, k, base_1e4).count)
+            want = (counting.count_exact(x + h, k, base_1e4)
+                    - counting.count_exact(x, k, base_1e4))
             assert counting.count_interval(x, h, k, base_1e4) == want
 
     def test_empty_window(self, base_1e4):
@@ -231,8 +259,8 @@ class TestCountInterval:
         for m in (2 ** 16, 2 ** 16 + 1):
             assert (x // m ** k, (x + h) // m ** k) == (1, 2)
         base = arith.sieve_primes(math.isqrt(x + h) + 1)
-        want = (counting.count_exact(x + h, k, base).count
-                - counting.count_exact(x, k, base).count)
+        want = (counting.count_exact(x + h, k, base)
+                - counting.count_exact(x, k, base))
         assert counting.count_interval(x, h, k, base) == want
 
     def test_coverage_checked_first(self, base100, monkeypatch):
