@@ -399,26 +399,28 @@ def _float_arg(s: str) -> float:
     return v
 
 
+# the exit code of each failure a command may raise; the first class
+# that matches wins
+_EXIT_CODES = {
+    CapacityError: EXIT_CAPACITY,
+    TableParseError: EXIT_VALIDATION,
+    IntegrityError: EXIT_VALIDATION,
+    CoverageError: EXIT_VALIDATION,
+    DomainError: EXIT_USAGE,
+    NetworkError: EXIT_NETWORK,
+    OSError: EXIT_IO,
+}
+
+
 def main(argv=None) -> int:
     started = time.time()
     args = build_parser().parse_args(argv)
     try:
         rows, table = args.fn(args)
-    except CapacityError as e:
+    except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except (TableParseError, IntegrityError, CoverageError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except NetworkError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NETWORK
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for cls, code in _EXIT_CODES.items()
+                    if isinstance(e, cls))
     try:
         _emit(rows, _manifest(args, table, started), args.format)
     except BrokenPipeError:

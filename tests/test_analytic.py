@@ -22,36 +22,61 @@ class TestLi:
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_relative_error_against_mpmath(self):
-        # the documented accuracy: relative error below 1e-14 on
-        # [10^3, 10^15], so absolute error grows with x
+        # the documented accuracy: relative error below 1e-14 from 2 to
+        # 10^15, so absolute error grows with x
         with mpmath.workdps(40):
-            for i in range(61):
-                x = 10.0 ** (3 + i / 5)
+            for x in [2.0, 10.0] + [10.0 ** (3 + i / 5) for i in range(61)]:
                 want = mpmath.li(x)
                 assert abs((analytic.li(x) - want) / want) < 1e-14, x
 
+    @pytest.mark.parametrize("x1,x2", [
+        (1e12, 1e12 + 1),          # a difference of two li lost 7e-4 here
+        (1e6, 1e6 + 1),
+        (2.0, 2.0 + 1e-9),
+        # both ends on grid lines u = log 2 + j/2 of the quadrature
+        (2 * math.exp(10), 2 * math.exp(20)),
+    ])
+    def test_interval_against_mpmath(self, x1, x2):
+        with mpmath.workdps(30):
+            want = mpmath.li(x2) - mpmath.li(x1)
+        assert abs(analytic.li_interval(x1, x2) / want - 1) < 1e-12
+
     def test_strictly_increasing(self):
-        vals = [analytic.li(x) for x in (1.5, 2, 5, 10, 1e3, 1e6, 1e12, 1e15)]
+        vals = [analytic.li(x) for x in (2, 5, 10, 1e3, 1e6, 1e12, 1e15)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            analytic.li(1.0)
-        with pytest.raises(DomainError):
-            analytic.li(0.5)
-        with pytest.raises(DomainError):
-            analytic.li_interval(10.0, 2.0)
+        for x in (1.5, 1.0, 0.5, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                analytic.li(x)
+        for x1, x2 in ((10.0, 2.0), (1.5, 10.0), (10.0, math.inf)):
+            with pytest.raises(DomainError):
+                analytic.li_interval(x1, x2)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_exact_on_even_powers(self, n):
+        # the n-point rule integrates z^(2j) over [-1, 1] exactly for
+        # j < n; weights from P_n' off the node missed by up to 8.9e-15
+        nodes, weights = analytic._gauss_legendre(n)
+        assert abs(math.fsum(weights) - 2) <= 2e-15
+        for j in range(n):
+            got = math.fsum(w * z ** (2 * j) for z, w in zip(nodes, weights))
+            assert abs(got - 2 / (2 * j + 1)) <= 2e-15, j
 
 
 def per_window_li(x, h, k):
-    """Scalar route: li_interval over each window (x/m^k, (x+h)/m^k],
-    clipped below at 2."""
+    """Reference route at 30 digits: li(hi) - li(lo) over each window
+    (x/m^k, (x+h)/m^k] with exact rational ends, clipped below at 2."""
     parts = []
-    for m in range(1, iroot(x + h, k) + 1):
-        lo, hi = max(x / m ** k, 2.0), (x + h) / m ** k
-        if hi > lo:
-            parts.append(analytic.li_interval(lo, hi))
-    return math.fsum(parts)
+    with mpmath.workdps(30):
+        for m in range(1, iroot(x + h, k) + 1):
+            lo = max(mpmath.mpf(x) / m ** k, 2)
+            hi = mpmath.mpf(x + h) / m ** k
+            if hi > lo:
+                parts.append(mpmath.li(hi) - mpmath.li(lo))
+        return mpmath.fsum(parts)
 
 
 class TestIntervalMainTerm:
@@ -63,8 +88,8 @@ class TestIntervalMainTerm:
         (10, 10 ** 6, 2),          # windows many panels wide
     ])
     def test_against_per_window_li(self, x, h, k):
-        assert analytic.interval_main_term(x, h, k) == pytest.approx(
-            per_window_li(x, h, k), rel=1e-9)
+        want = per_window_li(x, h, k)
+        assert abs(analytic.interval_main_term(x, h, k) / want - 1) < 1e-12
 
     @pytest.mark.parametrize("x,h,k", [
         (1, 10 ** 8 - 1, 2),       # two blocks of m, each sized alone
@@ -74,8 +99,8 @@ class TestIntervalMainTerm:
         (4097 ** 5 + 1, 4097 ** 5, 5),
     ])
     def test_blocks_of_m(self, x, h, k):
-        assert analytic.interval_main_term(x, h, k) == pytest.approx(
-            per_window_li(x, h, k), rel=1e-9)
+        want = per_window_li(x, h, k)
+        assert abs(analytic.interval_main_term(x, h, k) / want - 1) < 1e-12
 
     def test_against_quadrature(self):
         # (5, 25], k = 2: windows (5, 25], (1.25, 6.25] and

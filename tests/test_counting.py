@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -107,12 +108,15 @@ class TestCountExact:
             assert all(a >= b for a, b in zip(cs, cs[1:]))
 
     def test_main_terms(self):
-        # the per-m term is the sum over m of li(x / m^k) - li(2)
+        # the per-m term is the sum over m of li(x / m^k) - li(2), here
+        # at 30 digits
         x = 10 ** 4
         main, leading = counting.count_main_terms(x, 2)
-        want = math.fsum(li(x / m ** 2) - li(2.0)
-                         for m in range(1, arith.iroot(x // 2, 2) + 1))
-        assert main == pytest.approx(want, rel=1e-9)
+        with mpmath.workdps(30):
+            want = mpmath.fsum(
+                mpmath.li(mpmath.mpf(x) / m ** 2) - mpmath.li(2)
+                for m in range(1, arith.iroot(x // 2, 2) + 1))
+        assert abs(main / want - 1) < 1e-12
         assert main == interval_main_term(1, x - 1, 2)
         assert leading == pytest.approx(zeta_int(2) * li(x), rel=1e-12)
         assert counting.normalized_error(main, x, 2) == pytest.approx(
