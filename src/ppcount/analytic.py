@@ -129,24 +129,22 @@ def _grid_integrals() -> np.ndarray:
 
 def _log_integral(lo: np.ndarray, width: np.ndarray) -> float:
     """Sum over the windows [lo, lo + width] of the integral of e^u/u,
-    for lo >= log 2 and width >= 0. A window at most one panel wide is
-    one piece; a wider one takes its whole panels from the grid table
-    and adds a piece up to its first grid line and one after its last.
-    The width enters as given, so a short window keeps its relative
-    accuracy wherever it lies."""
+    for lo >= log 2 and width >= 0. Where no window is wider than one
+    panel, each is one piece. Otherwise each window takes its whole
+    panels from the grid table, and adds a piece up to its first grid
+    line and one after its last. The width enters as given, so a short
+    window keeps its relative accuracy wherever it lies."""
     if width.max() <= _PANEL:
         return float(_gauss(lo, width).sum())
-    wide = width > _PANEL
-    lo_w, width_w = lo[wide], width[wide]
-    first = np.ceil((lo_w - _LOG2) / _PANEL)
-    last = np.floor((lo_w - _LOG2 + width_w) / _PANEL)
-    head = _LOG2 + first * _PANEL - lo_w
-    tail = width_w - head - (last - first) * _PANEL
+    first = np.ceil((lo - _LOG2) / _PANEL)
+    last = np.maximum(np.floor((lo - _LOG2 + width) / _PANEL), first)
     grid = _grid_integrals()
-    whole = grid[last.astype(np.intp)] - grid[first.astype(np.intp)]
-    return float(whole.sum() + _gauss(lo[~wide], width[~wide]).sum()
-                 + _gauss(lo_w, head).sum()
-                 + _gauss(_LOG2 + last * _PANEL, tail).sum())
+    total = float((grid[last.astype(np.intp)]
+                   - grid[first.astype(np.intp)]).sum())
+    head = np.minimum(_LOG2 + first * _PANEL - lo, width)
+    width = width - head - (last - first) * _PANEL  # the tail
+    return (total + float(_gauss(lo, head).sum())
+            + float(_gauss(_LOG2 + last * _PANEL, width).sum()))
 
 
 def interval_main_term(x: int, h: int, k: int) -> float:
@@ -170,12 +168,11 @@ def interval_main_term(x: int, h: int, k: int) -> float:
     full_width = math.log1p(h / x)  # in log t, shared by unclipped windows
     total = 0.0
     for start in range(1, mmax + 1, _MAIN_TERM_BLOCK):
-        m = np.arange(start, min(start + _MAIN_TERM_BLOCK, mmax + 1),
-                      dtype=np.float64)
-        top = log_top - k * np.log(m)
+        top = log_top - k * np.log(np.arange(
+            start, min(start + _MAIN_TERM_BLOCK, mmax + 1), dtype=np.float64))
         # rounding can put a clipped window's top below log 2
-        width = np.clip(top - _LOG2, 0.0, full_width)
-        total += _log_integral(np.maximum(top - full_width, _LOG2), width)
+        total += _log_integral(np.maximum(top - full_width, _LOG2),
+                               np.clip(top - _LOG2, 0.0, full_width))
     return total
 
 
