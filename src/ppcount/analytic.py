@@ -38,7 +38,7 @@ def li(x: float) -> float:
     """Principal-value logarithmic integral for x >= 2: li(2) plus the
     integral of dt/log t over [2, x].
 
-    Its relative error is below 1e-14 from 2 to 10^15 (at most 3.8e-15
+    Its relative error is below 1e-14 from 2 to 10^15 (at most 3.5e-15
     against 40-digit mpmath), so the absolute error grows with x: about
     2e-5 at 10^12 and 0.05 at 10^15.
     """
@@ -72,7 +72,7 @@ def li_interval(x1: float, x2: float) -> float:
 # is that bound, and a piece of width 0 takes no node.
 _PANEL = 0.5
 _NODE_LIMITS = (0.0, *(3.2 * 10 ** (-8 / n) for n in range(1, 11)))
-# the last grid line below log of the largest double, where e^u ends
+# grid lines up to log of the largest double, where e^u ends
 _GRID_LINES = int((math.log(sys.float_info.max) - _LOG2) / _PANEL) + 1
 # m-values per vectorized block, so memory stays small at any x
 _MAIN_TERM_BLOCK = 1 << 12
@@ -110,11 +110,10 @@ def _gauss(lo: np.ndarray, width: np.ndarray) -> np.ndarray:
     grid line: it integrates backwards, or adds 0 if no piece is wider
     than 0."""
     half = width / 2
-    centre = lo + half
-    acc = np.zeros_like(centre)
+    acc = np.zeros_like(half)
     n = bisect_left(_NODE_LIMITS, width.max(initial=0.0))
     for node, weight in zip(*_gauss_legendre(n)):
-        u = centre + node * half
+        u = lo + (1 + node) * half
         acc += weight * np.exp(u) / u
     return acc * half
 
@@ -142,9 +141,13 @@ def _log_integral(lo: np.ndarray, width: np.ndarray) -> float:
     total = float((grid[last.astype(np.intp)]
                    - grid[first.astype(np.intp)]).sum())
     head = np.minimum(_LOG2 + first * _PANEL - lo, width)
-    width = width - head - (last - first) * _PANEL  # the tail
-    return (total + float(_gauss(lo, head).sum())
-            + float(_gauss(_LOG2 + last * _PANEL, width).sum()))
+    tail = width - head - (last - first) * _PANEL
+    # each piece's quadrature runs with no more of the block's arrays
+    # alive than a narrow block's, which keeps the heap peak down
+    del first, width
+    total += float(_gauss(lo, head).sum())
+    del lo, head
+    return total + float(_gauss(_LOG2 + last * _PANEL, tail).sum())
 
 
 def interval_main_term(x: int, h: int, k: int) -> float:
