@@ -10,7 +10,6 @@ integrate dt/log t with one Gauss-Legendre rule on one fixed grid.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left
 from functools import lru_cache
 
@@ -73,7 +72,7 @@ def li_interval(x1: float, x2: float) -> float:
 _PANEL = 0.5
 _NODE_LIMITS = (0.0, *(3.2 * 10 ** (-8 / n) for n in range(1, 11)))
 # grid lines up to log of the largest double, where e^u ends
-_GRID_LINES = int((math.log(sys.float_info.max) - _LOG2) / _PANEL) + 1
+_GRID_LINES = int((math.log(np.finfo(float).max) - _LOG2) / _PANEL) + 1
 # m-values per vectorized block, so memory stays small at any x
 _MAIN_TERM_BLOCK = 1 << 12
 
