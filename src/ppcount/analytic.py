@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import iroot
-from .errors import DomainError
+from .arith import DEFAULT_SIEVE_BUDGET, iroot
+from .errors import CapacityError, DomainError
 
 LI_CONVENTION = "principal-value from 0"
 
@@ -159,6 +159,8 @@ def interval_main_term(x: int, h: int, k: int) -> float:
     order: it misses a secondary term of relative size about
     k * sum(log m / m^k) / (zeta(k) * log x), still 4% at x = 10^12 for
     k = 2. Returns 0.0 when x + h <= 2, where every window lies below 2.
+    CapacityError past DEFAULT_SIEVE_BUDGET windows, before any is
+    summed.
     """
     if k < 2 or x < 1 or h < 1:
         raise DomainError(
@@ -166,6 +168,11 @@ def interval_main_term(x: int, h: int, k: int) -> float:
             f"got x = {x}, h = {h}, k = {k}")
     # only the windows with (x + h) / m^k > 2 contribute
     mmax = iroot((x + h - 1) // 2, k)
+    if mmax > DEFAULT_SIEVE_BUDGET:
+        # the largest table sieve_primes builds certifies x + h <= 10^16,
+        # fewer than 10^8 windows for any k >= 2
+        raise CapacityError(f"main term with k = {k} sums more than the "
+                            f"budget of {DEFAULT_SIEVE_BUDGET} windows of m")
     log_top = math.log(x + h)
     full_width = math.log1p(h / x)  # in log t, shared by unclipped windows
     total = 0.0

@@ -15,9 +15,10 @@ lists the proper prime powers p^r (r >= 2) it certifies, once
 of that list. Interval operations are segmented, so queries near 10^12
 only ever need a base table of primes up to 10^6. Segments are
 processed and merged in a fixed order. The pi ladder of the counting
-module sieves nothing: ``prime_counts_at`` answers from the table, or
-above it from the Lucy_Hedgehog recurrence over the table's primes,
-which gives pi at every x // n at once.
+module sieves nothing: handed the divisors n = m^k and x,
+``prime_counts_at`` answers pi(x // n) from the table, or above it from
+the Lucy_Hedgehog recurrence over the table's primes, which gives pi at
+every x // n at once.
 """
 
 from __future__ import annotations
@@ -159,10 +160,9 @@ def iroot(n: int, r: int) -> int:
         return 0
     if r >= n.bit_length():
         return 1  # n < 2**r, and 2**r itself is never formed
-    # the float root is within a few ulps, many units once the root
-    # passes 2^53; Newton's integer step descends to the root from any
-    # start above it, and this start is above it
-    a = int(n ** (1.0 / r) * (1 + 2.0 ** -40)) + 1
+    # n < 2^bits, so 2^ceil(bits / r) is above the root, and Newton's
+    # integer step descends to the root from any start above it
+    a = 1 << -(-n.bit_length() // r)
     while True:
         b = ((r - 1) * a + n // a ** (r - 1)) // r
         if b >= a:
@@ -253,36 +253,25 @@ def check_lucy_reach(hi: int) -> None:
                             f"{LUCY_ROOT_LIMIT}")
 
 
-def prime_counts_at(thresholds, base: PrimeTable) -> np.ndarray:
-    """pi(t) for every t in ``thresholds``, hi = max(thresholds).
+def prime_counts_at(ns, hi: int, base: PrimeTable) -> np.ndarray:
+    """pi(hi // n) for every n >= 1 in ``ns``, as on the x // m**k
+    ladder of the counting module.
 
-    Up to hi <= base.limit, one lookup in the table. Above it, every
-    threshold must be at most isqrt(hi) or of the form hi // n (so
-    t == hi // (hi // t)), as on the x // m**k ladder of the counting
-    module; any other raises DomainError. Then pi is read off the
-    Lucy_Hedgehog recurrence for hi, O(hi^(3/4)) time, O(hi^(1/2))
-    memory; CapacityError once isqrt(hi) passes LUCY_ROOT_LIMIT.
+    Up to hi <= base.limit, one lookup in the table. Above it, pi is
+    read off the Lucy_Hedgehog recurrence for hi, O(hi^(3/4)) time,
+    O(hi^(1/2)) memory: large[n] for n <= isqrt(hi), small[hi // n]
+    otherwise; CapacityError once isqrt(hi) passes LUCY_ROOT_LIMIT.
     """
-    if len(thresholds) == 0:
-        return np.zeros(0, dtype=np.int64)
-    hi = int(max(thresholds))
-    base.check_covers(hi)  # before the int64 cast
-    ts = np.asarray(thresholds, dtype=np.int64)
+    base.check_covers(hi)
+    ns = np.asarray(ns, dtype=np.int64)
     if hi <= base.limit:
-        return np.searchsorted(base.primes, ts, side="right").astype(np.int64)
+        return np.searchsorted(base.primes, hi // ns,
+                               side="right").astype(np.int64)
     check_lucy_reach(hi)
     r = math.isqrt(hi)
-    above = ts > r
-    big = ts[above]
-    n = hi // big
-    off = hi // n != big
-    if off.any():
-        raise DomainError(f"threshold {big[off][0]} is neither "
-                          f"<= isqrt({hi}) nor of the form {hi} // n")
     small, large = _lucy_counts(hi, base)
-    counts = small[np.clip(ts, 0, r)]
-    counts[above] = large[n]
-    return counts
+    return np.where(ns <= r, large[np.minimum(ns, r)],
+                    small[hi // np.maximum(ns, r + 1)])
 
 
 def _lucy_counts(hi: int, base: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
@@ -349,13 +338,13 @@ def psi(x, base: PrimeTable) -> float:
     xf = math.floor(x)
     if xf < 1:
         raise DomainError(f"psi requires x >= 1, got {x}")
-    return float(weighted_lambda_sums_at([xf], base)[0])
+    return float(weighted_lambda_sums_at([1], xf, base)[0])
 
 
-def weighted_lambda_sums_at(thresholds, base: PrimeTable) -> np.ndarray:
-    """psi(t) for each threshold: up to hi = max(thresholds) <=
-    base.limit, one lookup in ``PrimeTable.psi_table``; above it, one
-    segmented pass.
+def weighted_lambda_sums_at(ns, hi: int, base: PrimeTable) -> np.ndarray:
+    """psi(hi // n) for every n >= 1 in ``ns``: up to hi <= base.limit,
+    one lookup in ``PrimeTable.psi_table``; above it, one segmented pass
+    over (1, hi].
 
     Whole segments are summed with np.sum and merged with math.fsum; a
     threshold adds its own segment's cumulative sum, taken in extended
@@ -364,11 +353,8 @@ def weighted_lambda_sums_at(thresholds, base: PrimeTable) -> np.ndarray:
     with the x86 80-bit long double, and 8e-15 where long double is a
     plain double.
     """
-    if len(thresholds) == 0:
-        return np.zeros(0, dtype=np.float64)
-    hi = int(max(thresholds))
-    base.check_covers(hi)  # before the int64 cast
-    ts = np.asarray(thresholds, dtype=np.int64)
+    base.check_covers(hi)
+    ts = hi // np.asarray(ns, dtype=np.int64)
     if hi <= base.limit:
         n, cum = base.psi_table
         return cum[np.searchsorted(n, ts, side="right")].astype(np.float64)

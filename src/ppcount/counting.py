@@ -51,13 +51,12 @@ def _m_powers(x: int, k: int, base: PrimeTable) -> np.ndarray:
 def count_exact(x: int, k: int, base: PrimeTable) -> int:
     """C_k(x) as sum over m <= x^(1/k) of pi(x // m^k).
 
-    Every threshold has the form x // n, so one call of
-    arith.prime_counts_at resolves the whole ladder: a table lookup for
-    x <= base.limit, else one Lucy_Hedgehog recurrence for x, in
-    O(x^(3/4)) time and O(x^(1/2)) memory, which sieves nothing.
+    One call of arith.prime_counts_at, handed the divisors m^k, resolves
+    the whole ladder: a table lookup for x <= base.limit, else one
+    Lucy_Hedgehog recurrence for x, in O(x^(3/4)) time and O(x^(1/2))
+    memory, which sieves nothing.
     """
-    counts = arith.prime_counts_at(x // _m_powers(x, k, base), base)
-    return int(np.sum(counts))
+    return int(np.sum(arith.prime_counts_at(_m_powers(x, k, base), x, base)))
 
 
 def _oracle_hits(x: int, k: int) -> np.ndarray:
@@ -98,8 +97,7 @@ def count_oracle(x: int, k: int) -> int:
 
 def cstar(x: int, k: int, base: PrimeTable) -> float:
     """C*_k(x) = sum of Lambda(n) over n m^k <= x, via psi(x // m^k)."""
-    psis = arith.weighted_lambda_sums_at(x // _m_powers(x, k, base)[::-1],
-                                         base)
+    psis = arith.weighted_lambda_sums_at(_m_powers(x, k, base), x, base)
     return math.fsum(psis.tolist())
 
 

@@ -3,9 +3,9 @@ import math
 import mpmath
 import pytest
 
-from ppcount import analytic
+from ppcount import analytic, counting
 from ppcount.arith import iroot
-from ppcount.errors import DomainError
+from ppcount.errors import CapacityError, DomainError
 
 
 class TestLi:
@@ -128,6 +128,15 @@ class TestIntervalMainTerm:
         for x, h, k in ((0, 10, 2), (10, 0, 2), (10, 10, 1)):
             with pytest.raises(DomainError):
                 analytic.interval_main_term(x, h, k)
+
+    def test_window_budget(self, monkeypatch):
+        # past 10^8 windows of m, refused before any window is summed
+        monkeypatch.setattr(analytic, "_log_integral", None)
+        for x in (10 ** 300, 10 ** 400):
+            with pytest.raises(CapacityError):
+                analytic.interval_main_term(x, 10, 2)
+        with pytest.raises(CapacityError):
+            counting.count_main_terms(10 ** 17, 2)
 
 
 class TestZetaInt:

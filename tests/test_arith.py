@@ -208,6 +208,9 @@ class TestIroot:
         assert arith.iroot(10 ** 18, 10 ** 29) == 1
         assert arith.iroot(2 ** 64, 64) == 2
         assert arith.iroot(2 ** 64 - 1, 64) == 1
+        # past the largest double: no float root is formed
+        assert arith.iroot(10 ** 400, 2) == 10 ** 200
+        assert arith.iroot(10 ** 400 - 1, 2) == 10 ** 200 - 1
 
     @pytest.mark.parametrize("a, r", [
         (722191973998701852311568902, 2),
@@ -269,34 +272,28 @@ class TestPrimeCountInterval:
 
 class TestPrimeCountsAt:
     def test_matches_interval_counts(self, base_1e4):
-        # above the table every threshold is <= isqrt(hi) or hi // n;
-        # the ladder crosses the 2^20 segment boundaries of the interval
-        # route it is checked against
-        hi = 2 ** 21 + 777
-        r = math.isqrt(hi)
-        thresholds = ([0, 1, 2, 37, 37] + list(range(r + 1))
-                      + [hi // n for n in range(1, r + 1)]
-                      + [hi // n for n in (r + 1, 2 * r, 10 ** 4, hi)])
-        random.Random(15).shuffle(thresholds)
-        got = arith.prime_counts_at(thresholds, base_1e4)
-        want = [0 if t < 2 else arith.prime_count_interval(1, t, base_1e4)
-                for t in thresholds]
-        assert got.tolist() == want
-
-    @pytest.mark.parametrize("t", [2 ** 20, 2 ** 21 + 776, 5000])
-    def test_off_ladder_threshold_is_refused(self, base_1e4, t):
-        hi = 2 ** 21 + 777
-        with pytest.raises(DomainError, match=f"threshold {t} "):
-            arith.prime_counts_at([hi, hi // 2, t, 5], base_1e4)
+        # every divisor n = 1 .. hi + 1, shuffled, on the table path (a
+        # table to hi) and on the Lucy path (base_1e4); the reference
+        # chains the segmented interval route over the sorted distinct
+        # hi // n, across its 2^20 segment boundaries. With r = isqrt(hi)
+        # = 1450, the prime 1451 = hi // r lies above hi // (r + 1)
+        hi = 1450 * 1451
+        ns = np.random.default_rng(15).permutation(np.arange(1, hi + 2))
+        ts, where = np.unique(hi // ns, return_inverse=True)
+        bounds = [1, *np.maximum(ts, 1).tolist()]
+        want = np.cumsum([arith.prime_count_interval(a, b, base_1e4)
+                          for a, b in zip(bounds, bounds[1:])])[where]
+        for base in (arith.sieve_primes(hi), base_1e4):
+            assert np.array_equal(arith.prime_counts_at(ns, hi, base), want)
 
     def test_lucy_memory_bound(self):
         r = arith.LUCY_ROOT_LIMIT + 1
         with pytest.raises(CapacityError, match=str(arith.LUCY_ROOT_LIMIT)):
-            arith.prime_counts_at([r * r], arith.sieve_primes(r + 1))
+            arith.prime_counts_at([1], r * r, arith.sieve_primes(r + 1))
 
     def test_quotients_from_1e8_to_1e9(self):
         # spot values in 10^8..10^9 against the segmented interval
-        # route, chained over the sorted thresholds: pi(t_i) is the sum
+        # route, chained over the sorted quotients: pi(t_i) is the sum
         # of prime_count_interval(t_(j-1), t_j) for j <= i
         rng = random.Random(1509)
         for hi in (10 ** 8 + rng.randrange(10 ** 6),
@@ -305,22 +302,20 @@ class TestPrimeCountsAt:
             ns = sorted({*range(1, 40), *(m ** 2 for m in range(1, 200)),
                          *(m ** 3 for m in range(1, 60)),
                          *(rng.randrange(1, hi) for _ in range(40))})
-            ts = sorted({hi // n for n in ns})
-            got = arith.prime_counts_at(ts[::-1], base)[::-1]
-            want, prev = [], 1
-            for t in ts:
-                want.append((want[-1] if want else 0)
-                            + arith.prime_count_interval(prev, max(t, 1),
-                                                         base))
+            pi, prev = {}, 1
+            for t in sorted({hi // n for n in ns}):
+                pi[t] = (pi.get(prev, 0)
+                         + arith.prime_count_interval(prev, max(t, 1), base))
                 prev = max(t, 1)
-            assert got.tolist() == want, hi
+            got = arith.prime_counts_at(ns, hi, base)
+            assert got.tolist() == [pi[hi // n] for n in ns], hi
 
     def test_empty(self, base100):
-        assert arith.prime_counts_at([], base100).size == 0
+        assert arith.prime_counts_at([], 5, base100).size == 0
 
     def test_coverage_checked_before_int64_cast(self, base100):
         with pytest.raises(CoverageError):
-            arith.prime_counts_at([5, 2 ** 64], base100)
+            arith.prime_counts_at([1, 2], 2 ** 64, base100)
 
 
 class TestLambdaSegment:
@@ -383,25 +378,29 @@ class TestPsi:
 
 class TestWeightedLambdaSumsAt:
     def test_psi_ladder(self, base_1e4):
-        # thresholds straddle the 2^20 segment boundary; the reference
-        # sets Lambda(p^r) = log p densely from a complete prime table
-        ts = [1, 10, 9999, 2 ** 20 - 1, 2 ** 20, 2 ** 20, 2 ** 20 + 1,
-              2 ** 21 + 777]
-        lam = np.zeros(max(ts) + 1)
-        for p in arith.sieve_primes(max(ts)).primes.tolist():
+        # every divisor n = 1 .. hi + 1, on the table path (a table to
+        # hi) and the segmented path (base_1e4), whose hi // n straddle
+        # the 2^20 segment boundaries; the reference sets
+        # Lambda(p^r) = log p densely from a complete prime table and
+        # sums it in extended precision
+        hi = 2 ** 21 + 777
+        lam = np.zeros(hi + 1)
+        for p in arith.sieve_primes(hi).primes.tolist():
             pr = p
-            while pr <= max(ts):
+            while pr <= hi:
                 lam[pr] = math.log(p)
                 pr *= p
-        n = np.nonzero(lam)[0]
-        want = [math.fsum(lam[n[n <= t]].tolist()) for t in ts]
-        got = arith.weighted_lambda_sums_at(ts, base_1e4)
-        assert np.allclose(got, want, rtol=1e-12, atol=0)
+        ns = np.arange(1, hi + 2)
+        want = np.cumsum(lam, dtype=np.longdouble)[hi // ns]
+        for base in (arith.sieve_primes(hi), base_1e4):
+            got = arith.weighted_lambda_sums_at(ns, hi, base)
+            assert np.allclose(got, want.astype(np.float64), rtol=1e-12,
+                               atol=0)
 
     def test_no_thresholds(self, base100):
-        got = arith.weighted_lambda_sums_at([], base100)
+        got = arith.weighted_lambda_sums_at([], 100, base100)
         assert got.dtype == np.float64 and got.size == 0
 
     def test_coverage_checked_before_int64_cast(self, base100):
         with pytest.raises(CoverageError):
-            arith.weighted_lambda_sums_at([5, 2 ** 64], base100)
+            arith.weighted_lambda_sums_at([1], 2 ** 64, base100)

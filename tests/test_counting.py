@@ -180,6 +180,32 @@ class TestCstar:
                 assert counting.cstar(x, k, base_1e4) == pytest.approx(
                     brute_cstar(x, k), rel=1e-10)
 
+    def test_above_table(self, base100, base_1e4):
+        # base100 takes the segmented psi path, base_1e4 the table
+        for k in (2, 3):
+            for x in (1000, 5000, 10 ** 4):
+                got = counting.cstar(x, k, base100)
+                assert got == pytest.approx(counting.cstar(x, k, base_1e4),
+                                            rel=1e-12)
+                assert got == pytest.approx(brute_cstar(x, k), rel=1e-12)
+
+    def test_across_segment_boundary(self, base_1e4):
+        # x // m^k on both sides of the 2^20 segment boundary, against a
+        # dense Lambda(p^r) = log p cumulative sum in extended precision
+        x = 2 ** 21 + 777
+        lam = np.zeros(x + 1)
+        for p in arith.sieve_primes(x).primes.tolist():
+            pr = p
+            while pr <= x:
+                lam[pr] = math.log(p)
+                pr *= p
+        cum = np.cumsum(lam, dtype=np.longdouble).astype(np.float64)
+        for k in (2, 3):
+            want = math.fsum(cum[x // m ** k]
+                             for m in range(1, arith.iroot(x, k) + 1))
+            assert counting.cstar(x, k, base_1e4) == pytest.approx(
+                want, rel=1e-12)
+
     def test_trivial_and_main_term(self, base100, capsys):
         assert counting.cstar(1, 2, base100) == 0.0
         row = cli_row(capsys, "cstar", "--x", "1000", "--k", "2")
