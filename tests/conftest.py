@@ -59,6 +59,18 @@ def naive_lambda(n):
     return math.log(p) if n == 1 else 0.0
 
 
+def dense_lambda(limit):
+    """Lambda(n) for n = 0..limit, set to log p at every p^r from a
+    complete prime table."""
+    lam = np.zeros(limit + 1)
+    for p in arith.sieve_primes(limit).primes.tolist():
+        pr = p
+        while pr <= limit:
+            lam[pr] = math.log(p)
+            pr *= p
+    return lam
+
+
 @pytest.fixture(scope="session")
 def lambda_upto_1e4():
     return np.array([naive_lambda(n) for n in range(10 ** 4 + 1)])

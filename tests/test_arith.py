@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ppcount import arith
 from ppcount.errors import CapacityError, CoverageError, DomainError
 
-from conftest import naive_lambda, trial_division_primes
+from conftest import dense_lambda, naive_lambda, trial_division_primes
 
 
 class TestSievePrimes:
@@ -380,18 +380,11 @@ class TestWeightedLambdaSumsAt:
     def test_psi_ladder(self, base_1e4):
         # every divisor n = 1 .. hi + 1, on the table path (a table to
         # hi) and the segmented path (base_1e4), whose hi // n straddle
-        # the 2^20 segment boundaries; the reference sets
-        # Lambda(p^r) = log p densely from a complete prime table and
-        # sums it in extended precision
+        # the 2^20 segment boundaries; the reference sums a dense
+        # Lambda in extended precision
         hi = 2 ** 21 + 777
-        lam = np.zeros(hi + 1)
-        for p in arith.sieve_primes(hi).primes.tolist():
-            pr = p
-            while pr <= hi:
-                lam[pr] = math.log(p)
-                pr *= p
         ns = np.arange(1, hi + 2)
-        want = np.cumsum(lam, dtype=np.longdouble)[hi // ns]
+        want = np.cumsum(dense_lambda(hi), dtype=np.longdouble)[hi // ns]
         for base in (arith.sieve_primes(hi), base_1e4):
             got = arith.weighted_lambda_sums_at(ns, hi, base)
             assert np.allclose(got, want.astype(np.float64), rtol=1e-12,

@@ -10,7 +10,7 @@ from ppcount import arith, cli, counting
 from ppcount.analytic import interval_main_term, li, zeta_int
 from ppcount.errors import CapacityError, CoverageError, DomainError
 
-from conftest import trial_division_primes
+from conftest import dense_lambda, trial_division_primes
 
 
 def brute_count(x, k):
@@ -191,15 +191,10 @@ class TestCstar:
 
     def test_across_segment_boundary(self, base_1e4):
         # x // m^k on both sides of the 2^20 segment boundary, against a
-        # dense Lambda(p^r) = log p cumulative sum in extended precision
+        # dense Lambda cumulative sum in extended precision
         x = 2 ** 21 + 777
-        lam = np.zeros(x + 1)
-        for p in arith.sieve_primes(x).primes.tolist():
-            pr = p
-            while pr <= x:
-                lam[pr] = math.log(p)
-                pr *= p
-        cum = np.cumsum(lam, dtype=np.longdouble).astype(np.float64)
+        cum = np.cumsum(dense_lambda(x), dtype=np.longdouble).astype(
+            np.float64)
         for k in (2, 3):
             want = math.fsum(cum[x // m ** k]
                              for m in range(1, arith.iroot(x, k) + 1))
