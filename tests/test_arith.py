@@ -379,16 +379,21 @@ class TestPsi:
 class TestWeightedLambdaSumsAt:
     def test_psi_ladder(self, base_1e4):
         # every divisor n = 1 .. hi + 1, on the table path (a table to
-        # hi) and the segmented path (base_1e4), whose hi // n straddle
-        # the 2^20 segment boundaries; the reference sums a dense
-        # Lambda in extended precision
-        hi = 2 ** 21 + 777
-        ns = np.arange(1, hi + 2)
-        want = np.cumsum(dense_lambda(hi), dtype=np.longdouble)[hi // ns]
-        for base in (arith.sieve_primes(hi), base_1e4):
-            got = arith.weighted_lambda_sums_at(ns, hi, base)
-            assert np.allclose(got, want.astype(np.float64), rtol=1e-12,
-                               atol=0)
+        # 2^21 + 777) and the segmented path (base_1e4), whose segments
+        # from 1 end at 2^20 + 1 and 2^21 + 1. The quotients hi // 1 and
+        # hi // 2 of the hi below land on 2^20 .. 2^20 + 2 and on
+        # 2^21 + 1, 2^21 + 2, each side of both segment ends; the
+        # reference sums a dense Lambda in extended precision
+        top = 2 ** 21 + 777
+        cum = np.cumsum(dense_lambda(top), dtype=np.longdouble)
+        table = arith.sieve_primes(top)
+        for hi in (top, 2 ** 20, 2 ** 20 + 1, 2 ** 21 + 1, 2 ** 21 + 2,
+                   2 ** 21 + 4):
+            ns = np.arange(1, hi + 2)
+            want = cum[hi // ns].astype(np.float64)
+            for base in (table, base_1e4):
+                got = arith.weighted_lambda_sums_at(ns, hi, base)
+                assert np.allclose(got, want, rtol=1e-12, atol=0), hi
 
     def test_no_thresholds(self, base100):
         got = arith.weighted_lambda_sums_at([], 100, base100)
