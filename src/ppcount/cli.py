@@ -194,7 +194,10 @@ def cmd_sweep(args):
 
 def cmd_cstar(args):
     x, k = args.x, args.k
-    _check_ceiling("x", x, args.sieve_ceiling)
+    # psi(x // m^k) comes from the Lucy recurrence, which sieves only
+    # the base to sqrt(x): count's reach
+    _check_ceiling("x", x, args.sieve_ceiling, LADDER_REACH)
+    arith.check_lucy_reach(x)
     base = _base_for(x)
     value = counting.cstar(x, k, base)
     corr = counting.prime_power_correction(x, k, base)

@@ -24,8 +24,9 @@ per binary exponent (an exponent-indexed accumulator, as in Neal 2015),
 and one fsum rounds the total once.
 
 Zero sums pair each rho = 1/2 + i*gamma with its conjugate (computed as
-2*Re in real arithmetic) and accumulate with correctly rounded (fsum)
-summation, so small terms are never swamped.
+2*Re in real arithmetic) and are summed correctly rounded, through the
+same per-exponent reduction and one fsum, so small terms are never
+swamped.
 """
 
 from __future__ import annotations
@@ -139,6 +140,13 @@ def _exact_parts(a: np.ndarray) -> np.ndarray:
                            np.bincount(e, weights=lo)))
 
 
+def _exact_sum(a: np.ndarray) -> float:
+    """The correctly rounded sum of ``a``, under _exact_parts's
+    conditions: one fsum over its per-exponent parts, a few floats in
+    place of one per value."""
+    return math.fsum(_exact_parts(a).tolist())
+
+
 def _psi1_sum(signed, base: PrimeTable, lo: int = 1) -> float:
     """The sum of sign * psi_1(t) over (sign, t) pairs, correctly rounded,
     leaving out the prime powers n <= lo: one walk over
@@ -204,12 +212,18 @@ def _s_rho_sums(gammas: np.ndarray, signed) -> np.ndarray:
 
     Each endpoint power t^(rho+1) is evaluated as t^1.5 * e^{i g log t}
     with an independently computed phase, so there is no phase drift
-    across endpoints or ordinates.
+    across endpoints or ordinates. Every term is at most about
+    0.02 * t^1.5 per endpoint (|rho(rho+1)| > 200), so endpoints below
+    2^600 keep the terms below the 2^900 that _exact_sum needs;
+    DomainError from there on.
     """
     rho = 0.5 + 1j * gammas
     denom = rho * (rho + 1.0)
     num = np.zeros(len(gammas), dtype=np.complex128)
     for sign, t in signed:
+        if not t < 2.0 ** 600:
+            raise DomainError(f"zero sums need endpoints t below 2^600, "
+                              f"got t = {t}")
         if t <= 0.0:
             continue
         lt = math.log(t)
@@ -244,7 +258,7 @@ def psi1_via_zeros(x: float, table: ZeroTable) -> tuple[float, float]:
     """
     if x < 2:
         raise DomainError(f"psi1_via_zeros requires x >= 2, got {x}")
-    zsum = math.fsum(_s_rho_sums(table.ordinates, ((1.0, x),)).tolist())
+    zsum = _exact_sum(_s_rho_sums(table.ordinates, ((1.0, x),)))
     value = (x * x / 2.0 - zsum - ZETA_LOGDERIV_0 * x + ZETA_LOGDERIV_M1)
     bound = 2.0 * _zero_tail(x, table) + trivial_zero_tail(x)
     return value, bound
@@ -256,7 +270,7 @@ def s_delta_via_zeros(x: float, h: float, delta: float,
     at the table; returns (value, remainder_bound)."""
     w = TrapezoidWeight(x=x, h=h, delta=delta)
     terms = _s_rho_sums(table.ordinates, w.ends)
-    value = h + delta - math.fsum(terms.tolist()) / delta
+    value = h + delta - _exact_sum(terms) / delta
     bound = (8.0 * _zero_tail(x + h + delta, table) / delta
              + 1.0 / (delta * x))
     return value, bound
@@ -284,12 +298,12 @@ def zero_sum_breakdown(x: float, h: float, delta: float,
     w = TrapezoidWeight(x=x, h=h, delta=delta)
     table.check_covers(x / delta)
     g = table.ordinates
-    terms = _s_rho_sums(g, w.ends).tolist()
+    terms = _s_rho_sums(g, w.ends)
     i_low = np.searchsorted(g, x / h, side="right")
     i_mid = np.searchsorted(g, x / delta, side="right")
-    low = math.fsum(terms[:i_low])
-    mid = math.fsum(terms[i_low:i_mid])
-    high = math.fsum(terms[i_mid:])
+    low = _exact_sum(terms[:i_low])
+    mid = _exact_sum(terms[i_low:i_mid])
+    high = _exact_sum(terms[i_mid:])
     sx_lx = math.sqrt(x) * math.log(x)
     bounds = (delta * sx_lx, h * sx_lx, delta * sx_lx)
     remainder = 8.0 * _zero_tail(x + h + delta, table)

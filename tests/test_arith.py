@@ -395,6 +395,35 @@ class TestWeightedLambdaSumsAt:
                 got = arith.weighted_lambda_sums_at(ns, hi, base)
                 assert np.allclose(got, want, rtol=1e-12, atol=0), hi
 
+    def test_theta_route_against_segment_walk(self, base_1e4):
+        # above the table psi is theta from the Lucy recurrence plus the
+        # proper prime powers; the reference walks Lambda over (1, hi]
+        # one segment at a time with long-double prefix sums, at every
+        # n <= 2 * 10^4 and on the m^2 and m^3 ladders
+        hi = 10 ** 8
+        ns = np.concatenate((np.arange(1, 2 * 10 ** 4 + 1),
+                             np.arange(1, arith.iroot(hi, 2) + 1) ** 2,
+                             np.arange(1, arith.iroot(hi, 3) + 1) ** 3))
+        ts = np.unique(hi // ns)
+        want = np.zeros(ts.size, dtype=np.longdouble)
+        total = np.longdouble(0.0)
+        for seg in arith.lambda_segments(1, hi, base_1e4):
+            prefix = np.cumsum(np.concatenate(([total], seg.log_p)),
+                               dtype=np.longdouble)
+            i0, i1 = np.searchsorted(ts, [seg.lo, seg.hi], side="right")
+            want[i0:i1] = prefix[np.searchsorted(seg.n, ts[i0:i1],
+                                                 side="right")]
+            total = prefix[-1]
+        want = want[np.searchsorted(ts, hi // ns)].astype(np.float64)
+        got = arith.weighted_lambda_sums_at(ns, hi, base_1e4)
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_lucy_memory_bound(self):
+        r = arith.LUCY_ROOT_LIMIT + 1
+        with pytest.raises(CapacityError, match=str(arith.LUCY_ROOT_LIMIT)):
+            arith.weighted_lambda_sums_at([1], r * r,
+                                          arith.sieve_primes(r + 1))
+
     def test_no_thresholds(self, base100):
         got = arith.weighted_lambda_sums_at([], 100, base100)
         assert got.dtype == np.float64 and got.size == 0

@@ -218,6 +218,7 @@ class TestConfig:
         monkeypatch.setattr(cli.arith, "sieve_primes", None)
         r = cli.arith.LUCY_ROOT_LIMIT + 1
         for argv in (["count", "--x", str(r * r), "--k", "2"],
+                     ["cstar", "--x", str(r * r), "--k", "2"],
                      ["sweep", "--k", "2", "--x-min", "1e6", "--x-max",
                       "2e14", "--points", "3"]):
             rc, out, err = run(capsys, "--sieve-ceiling", "1e13", *argv)
@@ -348,6 +349,21 @@ class TestCstar:
         assert row["cstar"] == pytest.approx(want, rel=1e-12)
         assert row["prime_power_correction"] > 0
         assert payload["manifest"]["li_convention"]
+
+    def test_ladder_reach(self, capsys, monkeypatch):
+        # psi comes from the Lucy recurrence, which sieves only the base
+        # to sqrt(x), so cstar reaches 100 times the ceiling, as count
+        rc, out, _ = run(capsys, "--format", "json", "--sieve-ceiling",
+                         "1e6", "cstar", "--x", "1e8", "--k", "2")
+        assert rc == 0
+        want = counting.cstar(10 ** 8, 2, cli._base_for(10 ** 8))
+        assert json.loads(out)["rows"][0]["cstar"] == want
+        # and no further: refused before any prime table is sieved
+        monkeypatch.setattr(cli.arith, "sieve_primes", None)
+        rc, out, err = run(capsys, "--sieve-ceiling", "1e6", "cstar",
+                           "--x", "100000001", "--k", "2")
+        assert rc == cli.EXIT_CAPACITY
+        assert out == "" and "100 * sieve ceiling 1000000" in err
 
     def test_large_k_reported_as_given(self, capsys):
         rc, out, _ = run(capsys, "--format", "json",

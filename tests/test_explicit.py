@@ -423,6 +423,19 @@ class TestPsi1ViaZeros:
         with pytest.raises(DomainError):
             explicit.psi1_via_zeros(1.5, zeros100)
 
+    def test_endpoint_limit(self, zeros100):
+        # the terms grow as t^1.5 and their exact reduction needs them
+        # below 2^900: endpoints from 2^600 on are refused, where t**1.5
+        # used to overflow from about 1e206 on
+        below = explicit._s_rho_sums(zeros100.ordinates, ((1.0, 2.0 ** 599),))
+        assert np.all(np.isfinite(below))
+        assert explicit._exact_sum(below) == math.fsum(below.tolist())
+        for t in (2.0 ** 600, 1e206, math.inf):
+            with pytest.raises(DomainError, match="2\\^600"):
+                explicit.psi1_via_zeros(t, zeros100)
+        with pytest.raises(DomainError, match="2\\^600"):
+            explicit.s_delta_via_zeros(1e206, 1e205, 1e204, zeros100)
+
 
 class TestSDeltaViaZeros:
     def test_prediction_within_bound(self, base_1e4, zeros10k):
@@ -430,6 +443,15 @@ class TestSDeltaViaZeros:
             direct = explicit.s_delta_direct(x, h, d, base_1e4)
             pred, bound = explicit.s_delta_via_zeros(x, h, d, zeros10k)
             assert abs(pred - direct) <= bound * 10.0
+
+    def test_sum_is_correctly_rounded(self, zeros10k):
+        # the per-exponent reduction before fsum leaves the correctly
+        # rounded sum of the per-zero terms
+        x, h, d = 1e5 + 0.5, 1e3, 1e2
+        ends = explicit.TrapezoidWeight(x=x, h=h, delta=d).ends
+        terms = explicit._s_rho_sums(zeros10k.ordinates, ends).tolist()
+        pred, _ = explicit.s_delta_via_zeros(x, h, d, zeros10k)
+        assert pred == h + d - math.fsum(terms) / d
 
     def test_main_term_shape(self, zeros10k):
         # prediction = h + delta - zero sum / delta, and the
