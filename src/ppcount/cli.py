@@ -1,17 +1,16 @@
 """Command-line surface.
 
 Subcommands: count, sweep, cstar, explicit, interval, zeros-stats,
-fetch-zeros, verify. Every setting is an argument: the global
---sieve-ceiling bounds how far a command sieves, and --zeros PATH picks
-a zero table in place of the bundled one. Every command prints its rows
+verify. Every setting is an argument: the global --sieve-ceiling
+bounds how far a command sieves, and --zeros PATH picks a zero table
+in place of the bundled one. Every command prints its rows
 through one writer, as a table, or as csv or json with --format, with
 the run's manifest: its id is a column of the table and csv rows and
 the "manifest" member of the json document. verify prints one row per
-check; fetch-zeros writes the table file it fetched and prints one
-summary row.
+check.
 
 Exit codes: 1 a verify check failed, 2 usage, 3 capacity, 4 I/O,
-5 network, 6 validation.
+6 validation (5 is retired).
 """
 
 from __future__ import annotations
@@ -32,13 +31,12 @@ import numpy as np
 from . import __version__, arith, counting, explicit, verify, zeros
 from .analytic import LI_CONVENTION, exponents, zeta_int
 from .errors import (CapacityError, CoverageError, DomainError,
-                     IntegrityError, NetworkError, TableParseError)
+                     IntegrityError, TableParseError)
 
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_IO = 4
-EXIT_NETWORK = 5
 EXIT_VALIDATION = 6
 
 CSV_SCHEMA_VERSION = "3"
@@ -255,13 +253,12 @@ def cmd_interval(args):
         row["predicted_scale"] = args.f ** -0.5
     if table is not None:
         direct = explicit.s_delta_direct(w.x, w.h, w.delta, base)
-        via_zeros, bound = explicit.s_delta_via_zeros(w.x, w.h, w.delta,
-                                                      table)
+        bd = explicit.zero_sum_breakdown(w.x, w.h, w.delta, table)
+        via_zeros, bound = bd.s_delta
         row["s_delta_direct"] = direct
         row["s_delta_via_zeros"] = via_zeros
         row["s_delta_gap"] = abs(via_zeros - direct)
         row["s_delta_bound"] = bound
-        bd = explicit.zero_sum_breakdown(w.x, w.h, w.delta, table)
         row["ratio_low"], row["ratio_mid"], row["ratio_high"] = bd.ratios
         row["zero_sum_remainder_bound"] = bd.remainder_bound
     return [row], table
@@ -281,27 +278,6 @@ def cmd_zeros_stats(args):
         row["inv_gamma_sq_tail_bound"] = bound
         rows.append(row)
     return rows, table
-
-
-def cmd_fetch_zeros(args):
-    # imported here: no other command needs the HTTP stack
-    import urllib.parse
-    import urllib.request
-
-    try:
-        scheme = urllib.parse.urlsplit(args.url).scheme
-        if scheme not in ("http", "https"):
-            raise ValueError(f"need an http or https URL, got {args.url!r}")
-        with urllib.request.urlopen(args.url, timeout=60) as resp:
-            body = resp.read()
-    except (OSError, ValueError) as e:  # URLError and HTTPError are OSErrors
-        raise NetworkError(f"fetch failed: {e}") from None
-    table = zeros.parse_table(body, args.url, limit=args.limit)
-    with open(args.output, "w") as f:
-        # repr is the shortest string that reads back as the same float
-        f.writelines(f"{v!r}\n" for v in table.ordinates.tolist())
-    return [{"output": args.output, "ordinates": len(table),
-             "max_ordinate": table.max_ordinate}], table
 
 
 def cmd_verify(args):
@@ -364,12 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--T", type=_float_arg, nargs="*", default=None)
     c.set_defaults(fn=cmd_zeros_stats)
 
-    c = sub.add_parser("fetch-zeros", help="download and validate a table")
-    c.add_argument("--url", required=True)
-    c.add_argument("--output", required=True)
-    c.add_argument("--limit", type=_int_arg, default=None)
-    c.set_defaults(fn=cmd_fetch_zeros)
-
     c = sub.add_parser("verify", help="run the acceptance checks")
     c.add_argument("--scale", choices=("small", "medium"), default="small")
     c.set_defaults(fn=cmd_verify)
@@ -410,7 +380,6 @@ _EXIT_CODES = {
     IntegrityError: EXIT_VALIDATION,
     CoverageError: EXIT_VALIDATION,
     DomainError: EXIT_USAGE,
-    NetworkError: EXIT_NETWORK,
     OSError: EXIT_IO,
 }
 

@@ -25,10 +25,6 @@ class IntegrityError(PPCountError):
     """Loaded data failed a validation gate."""
 
 
-class NetworkError(PPCountError):
-    """A download failed."""
-
-
 class TableParseError(PPCountError):
     """Malformed zero-table file."""
 

@@ -269,11 +269,17 @@ def s_delta_via_zeros(x: float, h: float, delta: float,
     """Spectral prediction h + delta - (1/delta) * sum S(rho), truncated
     at the table; returns (value, remainder_bound)."""
     w = TrapezoidWeight(x=x, h=h, delta=delta)
-    terms = _s_rho_sums(table.ordinates, w.ends)
-    value = h + delta - _exact_sum(terms) / delta
-    bound = (8.0 * _zero_tail(x + h + delta, table) / delta
-             + 1.0 / (delta * x))
-    return value, bound
+    return _spectral(w, _exact_sum(_s_rho_sums(table.ordinates, w.ends)),
+                     8.0 * _zero_tail(x + h + delta, table))
+
+
+def _spectral(w: TrapezoidWeight, zsum: float,
+              remainder: float) -> tuple[float, float]:
+    """s_delta_via_zeros's (value, remainder_bound) from the correctly
+    rounded sum of S(rho) over the table and the bound on the sum of
+    |S(rho)| beyond it."""
+    return (w.h + w.delta - zsum / w.delta,
+            remainder / w.delta + 1.0 / (w.delta * w.x))
 
 
 @dataclass(frozen=True)
@@ -287,6 +293,8 @@ class ZeroSumBreakdown:
     high: float         # x/delta < |gamma| <= table end (bound as low)
     remainder_bound: float
     ratios: tuple[float, float, float]
+    # s_delta_via_zeros(x, h, delta, table), from the same terms
+    s_delta: tuple[float, float]
 
     @property
     def total(self) -> float:
@@ -301,13 +309,17 @@ def zero_sum_breakdown(x: float, h: float, delta: float,
     terms = _s_rho_sums(g, w.ends)
     i_low = np.searchsorted(g, x / h, side="right")
     i_mid = np.searchsorted(g, x / delta, side="right")
-    low = _exact_sum(terms[:i_low])
-    mid = _exact_sum(terms[i_low:i_mid])
-    high = _exact_sum(terms[i_mid:])
+    parts = [_exact_parts(terms[:i_low]), _exact_parts(terms[i_low:i_mid]),
+             _exact_parts(terms[i_mid:])]
+    low, mid, high = (math.fsum(p.tolist()) for p in parts)
     sx_lx = math.sqrt(x) * math.log(x)
     bounds = (delta * sx_lx, h * sx_lx, delta * sx_lx)
     remainder = 8.0 * _zero_tail(x + h + delta, table)
+    # the three ranges' parts sum exactly to all the terms, so one fsum
+    # over them rounds as s_delta_via_zeros's sum does
+    zsum = math.fsum(np.concatenate(parts).tolist())
     return ZeroSumBreakdown(
         low=low, mid=mid, high=high, remainder_bound=remainder,
         ratios=(abs(low) / bounds[0], abs(mid) / bounds[1],
-                abs(high) / bounds[2]))
+                abs(high) / bounds[2]),
+        s_delta=_spectral(w, zsum, remainder))

@@ -286,6 +286,22 @@ class TestPrimeCountsAt:
         for base in (arith.sieve_primes(hi), base_1e4):
             assert np.array_equal(arith.prime_counts_at(ns, hi, base), want)
 
+    def test_published_powers_of_ten(self):
+        # pi(10^n) for n = 1..11, published values (Lagarias, Miller and
+        # Odlyzko 1985; Deleglise and Rivat 1996): on a minimal base,
+        # the Lucy path above 100, and up to 10^7 on a table covering x
+        published = [4, 25, 168, 1229, 9592, 78498, 664579, 5761455,
+                     50847534, 455052511, 4118054813]
+        table = arith.sieve_primes(10 ** 7)
+        for n, want in enumerate(published, start=1):
+            x = 10 ** n
+            bases = [arith.sieve_primes(max(100, math.isqrt(x) + 1))]
+            if x <= table.limit:
+                bases.append(table)
+            for base in bases:
+                got = arith.prime_counts_at([1], x, base).tolist()
+                assert got == [want], (n, base.limit)
+
     def test_lucy_memory_bound(self):
         r = arith.LUCY_ROOT_LIMIT + 1
         with pytest.raises(CapacityError, match=str(arith.LUCY_ROOT_LIMIT)):

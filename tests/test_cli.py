@@ -1,16 +1,14 @@
 import argparse
 import ast
 import csv
-import functools
-import http.server
 import importlib
 import io
 import json
 import os
 import random
+import socket
 import subprocess
 import sys
-import threading
 import warnings
 from importlib import metadata
 from pathlib import Path
@@ -18,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ppcount import cli, counting, verify, zeros
+from ppcount import cli, counting, explicit, verify, zeros
 from ppcount.analytic import interval_main_term
 from ppcount.arith import sieve_primes
 
@@ -487,6 +485,31 @@ class TestInterval:
         assert params["with_zeros"] is True
         assert params["f"] == 4.0 and params["h"] is None
 
+    def test_with_zeros_sums_zeros_once(self, capsys, monkeypatch,
+                                        zeros10k):
+        calls, real = [], explicit._s_rho_sums
+
+        def counting_sums(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(explicit, "_s_rho_sums", counting_sums)
+        rc, out, _ = run(capsys, "--format", "json", "interval", "--x",
+                         "1e8", "--f", "4", "--k", "2", "--with-zeros")
+        assert rc == 0
+        assert len(calls) == 1
+        row = json.loads(out)["rows"][0]
+        assert row["s_delta_via_zeros"] == pytest.approx(20360833.661,
+                                                         abs=0.01)
+        # the values the two public zero-sum functions give on their own
+        x, h, d = (float(row[key]) for key in ("x", "h", "delta"))
+        assert ((row["s_delta_via_zeros"], row["s_delta_bound"])
+                == explicit.s_delta_via_zeros(x, h, d, zeros10k))
+        bd = explicit.zero_sum_breakdown(x, h, d, zeros10k)
+        assert ((row["ratio_low"], row["ratio_mid"], row["ratio_high"],
+                 row["zero_sum_remainder_bound"])
+                == (*bd.ratios, bd.remainder_bound))
+
     def test_with_zeros_diagnostics(self, capsys):
         rc, out, _ = run(capsys, "--format", "json", "interval",
                          "--x", "1e5", "--k", "2", "--h", "1e3",
@@ -537,119 +560,7 @@ class TestZerosStats:
         assert out.splitlines()[0].startswith("T")
 
 
-@pytest.fixture()
-def zero_server(tmp_path, zeros100):
-    good = "\n".join(f"{g:.9f}" for g in zeros100.ordinates) + "\n"
-    (tmp_path / "good.txt").write_text(good)
-    # 60 ordinates off the 9-decimal grid, as a precise table has them
-    (tmp_path / "precise.txt").write_text("".join(
-        f"{g + (i % 7) * 1.3e-11!r}\n"
-        for i, g in enumerate(zeros100.ordinates[:60].tolist())))
-    (tmp_path / "latin1.txt").write_bytes(b"14.134725142\n# z\xe9ros\n")
-    (tmp_path / "bad.txt").write_text("21.02\n14.13\n")
-    (tmp_path / "blank.txt").write_text("# no ordinates\n")
-    handler = functools.partial(http.server.SimpleHTTPRequestHandler,
-                                directory=str(tmp_path))
-    srv = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=srv.serve_forever,
-                              kwargs={"poll_interval": 0.05}, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{srv.server_address[1]}"
-    srv.shutdown()
-
-
-class TestFetchZeros:
-    def test_fetch_and_validate(self, capsys, tmp_path, zero_server):
-        out_path = tmp_path / "fetched.txt"
-        url = zero_server + "/good.txt"
-        rc, out, _ = run(capsys, "--format", "json", "fetch-zeros",
-                         "--url", url, "--output", str(out_path),
-                         "--limit", "50")
-        assert rc == 0
-        table = zeros.load_zeros(out_path)
-        assert len(table) == 50
-        payload = json.loads(out)
-        assert payload["rows"] == [{"output": str(out_path),
-                                    "ordinates": 50,
-                                    "max_ordinate": table.max_ordinate}]
-        assert payload["manifest"]["zero_table_source"] == url
-        assert payload["manifest"]["truncation"] == 50
-
-    def test_fetched_file_reloads_bit_for_bit(self, capsys, tmp_path,
-                                              zero_server):
-        # ordinates with more digits than 9 decimals keep every bit
-        served = zeros.load_zeros(tmp_path / "precise.txt")
-        assert any(g != round(g, 9) for g in served.ordinates.tolist())
-        out_path = tmp_path / "fetched.txt"
-        rc, _, _ = run(capsys, "fetch-zeros",
-                       "--url", zero_server + "/precise.txt",
-                       "--output", str(out_path))
-        assert rc == 0
-        np.testing.assert_array_equal(zeros.load_zeros(out_path).ordinates,
-                                      served.ordinates)
-
-    def test_non_utf8_download_rejected(self, capsys, tmp_path,
-                                        zero_server):
-        out_path = tmp_path / "fetched.txt"
-        rc, out, err = run(capsys, "fetch-zeros",
-                           "--url", zero_server + "/latin1.txt",
-                           "--output", str(out_path))
-        assert rc == cli.EXIT_VALIDATION
-        assert out == "" and ":2: not UTF-8" in err
-        assert not out_path.exists()
-
-    def test_corrupt_download_rejected(self, capsys, tmp_path, zero_server):
-        out_path = tmp_path / "fetched.txt"
-        rc, _, err = run(capsys, "fetch-zeros",
-                         "--url", zero_server + "/bad.txt",
-                         "--output", str(out_path))
-        assert rc == cli.EXIT_VALIDATION
-        assert not out_path.exists()
-
-    def test_empty_download_rejected(self, capsys, tmp_path, zero_server):
-        out_path = tmp_path / "fetched.txt"
-        rc, _, err = run(capsys, "fetch-zeros",
-                         "--url", zero_server + "/blank.txt",
-                         "--output", str(out_path))
-        assert rc == cli.EXIT_VALIDATION
-        assert "is empty" in err
-        assert not out_path.exists()
-
-    def test_fetch_without_requests(self, capsys, tmp_path, zero_server,
-                                    monkeypatch):
-        # the standard library alone fetches; requests is not a dependency
-        monkeypatch.setitem(sys.modules, "requests", None)
-        out_path = tmp_path / "fetched.txt"
-        rc, _, _ = run(capsys, "fetch-zeros",
-                       "--url", zero_server + "/good.txt",
-                       "--output", str(out_path))
-        assert rc == 0
-        assert len(zeros.load_zeros(out_path)) == 100
-
-    def test_missing_file_is_network_error(self, capsys, tmp_path,
-                                           zero_server):
-        rc, _, err = run(capsys, "fetch-zeros",
-                         "--url", zero_server + "/absent.txt",
-                         "--output", str(tmp_path / "o.txt"))
-        assert rc == cli.EXIT_NETWORK
-        assert "404" in err
-
-    @pytest.mark.parametrize("url", ["notaurl", "file:///etc/hostname"])
-    def test_non_http_url_is_network_error(self, capsys, tmp_path, url):
-        rc, _, err = run(capsys, "fetch-zeros", "--url", url,
-                         "--output", str(tmp_path / "o.txt"))
-        assert rc == cli.EXIT_NETWORK
-        assert "http" in err
-        assert not (tmp_path / "o.txt").exists()
-
-    def test_unreachable_host(self, capsys, tmp_path):
-        rc, _, err = run(capsys, "fetch-zeros",
-                         "--url", "http://127.0.0.1:1/zeros.txt",
-                         "--output", str(tmp_path / "o.txt"))
-        assert rc == cli.EXIT_NETWORK
-
-
-# one small run of every subcommand; {server} and {tmp} are filled in
+# one small run of every subcommand
 EVERY_COMMAND = [
     ["count", "--x", "100", "--k", "2"],
     ["sweep", "--k", "2", "--x-min", "10", "--x-max", "100", "--points", "2"],
@@ -657,7 +568,6 @@ EVERY_COMMAND = [
     ["explicit", "--x", "100", "--limit", "100"],
     ["interval", "--x", "1e4", "--h", "100", "--k", "2"],
     ["zeros-stats", "--limit", "100"],
-    ["fetch-zeros", "--url", "{server}/good.txt", "--output", "{tmp}/z.txt"],
     ["verify"],
 ]
 
@@ -670,13 +580,15 @@ class TestEmit:
 
     @pytest.mark.parametrize("argv", EVERY_COMMAND,
                              ids=[argv[0] for argv in EVERY_COMMAND])
-    def test_json_document(self, capsys, monkeypatch, request, tmp_path,
-                           argv):
+    def test_json_document(self, capsys, monkeypatch, argv):
         monkeypatch.setattr(cli.verify, "run_all", lambda scale: [
             verify.CheckResult("good", True, "held")])
-        server = (request.getfixturevalue("zero_server")
-                  if argv[0] == "fetch-zeros" else "")
-        argv = [a.format(server=server, tmp=tmp_path) for a in argv]
+
+        # every command runs offline: tables come from files
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a command opened a socket")
+
+        monkeypatch.setattr(socket, "socket", no_socket)
         rc, out, _ = run(capsys, "--format", "json", *argv)
         assert rc == 0
         payload = json.loads(out)
