@@ -18,12 +18,16 @@ processed and merged in a fixed order. The pi and psi ladders of the
 counting module sieve nothing: handed the divisors n = m^k and x,
 ``prime_counts_at`` answers pi(x // n) from the table, or above it from
 the Lucy_Hedgehog recurrence over the table's primes, which gives pi at
-every x // n at once. ``weighted_lambda_sums_at`` answers psi(x // n)
-the same way: the recurrence carries theta beside pi when asked (log is
-additive, so the n = p*j it strikes take log p each plus the sum of
-their log j), in float64, measured within 5.6e-15 relative, and the
-table's proper prime powers up to x // n add the rest. Both reach
-x = LUCY_ROOT_LIMIT^2, about 10^14.
+every x // n at once. The recurrence strikes in two orders too: the
+primes up to x^(1/3) one loop turn each, and the primes above it, which
+read only values that none of them writes, all at once in blocks of
+(i, p) pairs; at x near 10^9 that is 3 233 of its 3 401 primes.
+``weighted_lambda_sums_at`` answers psi(x // n) the same way: the
+recurrence carries theta beside pi when asked (log is additive, so the
+n = p*j it strikes take log p each plus the sum of their log j), in
+float64, measured within 4.9e-15 relative, and the table's proper prime
+powers up to x // n add the rest. Both reach x = LUCY_ROOT_LIMIT^2,
+about 10^14.
 """
 
 from __future__ import annotations
@@ -57,6 +61,11 @@ _RANK_MIN = 5 * _FEW_STRIKES
 # The Lucy recurrence's int64 arrays take 184 MB at hi = 10^13; this
 # bound on isqrt(hi) caps hi near 10^14, about 0.5 GB
 LUCY_ROOT_LIMIT = 10 ** 7
+
+# _lucy_batch strikes the primes above hi^(1/3) in blocks of whole i
+# values of about this many (i, p) pairs, 128 KB per int64 array; 2^16
+# took no less time, and raised count-ladder's peak RSS by 0.5 MB
+_LUCY_BLOCK = 1 << 14
 
 # Miller-Rabin to the prime bases up to 41 is deterministic below psi_13;
 # up to 37, only below psi_12 = 318665857834031151167461, a composite.
@@ -294,15 +303,22 @@ def _lucy_counts(hi: int, base: PrimeTable,
 
     pi starts as v - 1, the count of 2..v, and theta as log(v!), the sum
     of log n over 2..v (math.lgamma, float64). Each table prime p <= r
-    in turn strikes the n = p*j whose least prime factor is p, for
-    v >= p*p:
+    strikes the n = p*j whose least prime factor is p, for v >= p*p:
 
         pi(v) -= pi(v // p) - pi(p - 1)
         theta(v) -= log p * (pi(v // p) - pi(p - 1))
                     + theta(v // p) - theta(p - 1)
 
-    Every right-hand side is formed before either array of that p is
-    written, so it reads S as it was before p.
+    It strikes in two orders, split at c = iroot(hi, 3). The primes
+    p <= c strike in turn, one loop turn each; every right-hand side of
+    p is formed before either array of p is written, so it reads S as it
+    was before p. The primes above c strike together, in _lucy_batch,
+    from one snapshot: none of them reads a value another writes. small
+    is written only by the p with p*p <= r, all below c, so it is final
+    by then. A p with p**3 > hi writes large[i] only for i <= hi // p**2,
+    which is below p, and reads large[i*p] only at i*p >= p; so every
+    index written by a prime above c lies below every index read by one,
+    and their subtractions commute.
     """
     r = math.isqrt(hi)
     idx = np.arange(r + 1, dtype=np.int64)
@@ -312,7 +328,8 @@ def _lucy_counts(hi: int, base: PrimeTable,
     if theta:
         tsmall, tlarge = (np.fromiter(map(math.lgamma, (v + 1).tolist()),
                                       np.float64, v.size) for v in (idx, q))
-    for p in base.primes[: bisect_right(base.primes, r)].tolist():
+    ic = bisect_right(base.primes, iroot(hi, 3))
+    for p in base.primes[:ic].tolist():
         sp, top = small[p - 1], min(r, hi // (p * p))
         # pi(v // p) - pi(p - 1) for v = hi // i, 1 <= i <= top, where
         # hi // i // p = hi // (i*p) is large[i*p] while i*p <= r
@@ -334,7 +351,42 @@ def _lucy_counts(hi: int, base: PrimeTable,
                 tsmall[p * p:] -= lp * d_small + np.repeat(
                     tsmall[p: r // p + 1] - tp, p)[: r + 1 - p * p]
             small[p * p:] -= d_small
-    return [(small, large)] + ([(tsmall, tlarge)] if theta else [])
+    pairs = [(small, large)] + ([(tsmall, tlarge)] if theta else [])
+    _lucy_batch(hi, base.primes[ic: bisect_right(base.primes, r)], pairs)
+    return pairs
+
+
+def _lucy_batch(hi: int, ps: np.ndarray,
+                pairs: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    """Strike the primes ``ps``, all with p**3 > hi, into _lucy_counts's
+    ``pairs`` at once: for each i, large[i] loses the sum over the p with
+    p*p <= hi // i of d = pi(hi // (i*p)) - pi(p - 1), read by
+    _at_quotients's rule, and theta's large[i] the sum of
+    log p * d + theta(hi // (i*p)) - theta(p - 1). The pairs (i, p) run
+    i-major, p ascending, in blocks of whole i of about _LUCY_BLOCK
+    pairs; np.add.reduceat sums each i's terms, in int64 for pi."""
+    if not ps.size:
+        return
+    (small, large), *rest = pairs
+    # n[i - 1] = #{p in ps : p*p <= hi // i}, at least 1 up to i_max
+    i_max = hi // int(ps[0]) ** 2
+    n = np.searchsorted(ps * ps, hi // np.arange(1, i_max + 1), side="right")
+    starts = np.concatenate(([0], np.cumsum(n)))
+    a = 0
+    while a < i_max:
+        b = int(np.searchsorted(starts, starts[a] + _LUCY_BLOCK,
+                                side="right")) - 1
+        b = min(max(b, a + 1), i_max)
+        at = starts[a:b] - starts[a]
+        p = ps[np.arange(starts[b] - starts[a]) - np.repeat(at, n[a:b])]
+        ip = np.repeat(np.arange(a + 1, b + 1, dtype=np.int64), n[a:b]) * p
+        d = _at_quotients(ip, hi, small, large) - small[p - 1]
+        for tsmall, tlarge in rest:
+            t = (np.log(p.astype(np.float64)) * d
+                 + _at_quotients(ip, hi, tsmall, tlarge) - tsmall[p - 1])
+            tlarge[a + 1: b + 1] -= np.add.reduceat(t, at)
+        large[a + 1: b + 1] -= np.add.reduceat(d, at)
+        a = b
 
 
 def lambda_segment(lo: int, hi: int, base: PrimeTable) -> LambdaSegment:
@@ -389,9 +441,9 @@ def weighted_lambda_sums_at(ns, hi: int, base: PrimeTable) -> np.ndarray:
     at log(v!), about log v times theta(v), and is struck once per prime
     up to isqrt(v). Against an extended-precision sum of the same log p
     values, over every distinct hi // n, the result measured at most
-    5.6e-15 relative off for hi from 10^6 to 3 * 10^8. The recurrence
-    with theta took about 0.5 s at hi = 10^10 and 6 s at 10^12 on a
-    2-vCPU VM, two to three times as long as pi alone.
+    4.9e-15 relative off for hi from 10^6 to 3 * 10^8. The recurrence
+    with theta took about 0.13 s at hi = 10^10 and 3.5 s at 10^12 on a
+    2-vCPU VM, about three times as long as pi alone.
     """
     base.check_covers(hi)
     ns = np.asarray(ns, dtype=np.int64)

@@ -293,12 +293,11 @@ class ZeroSumBreakdown:
     high: float         # x/delta < |gamma| <= table end (bound as low)
     remainder_bound: float
     ratios: tuple[float, float, float]
+    # the correctly rounded sum of S(rho) over the table, which
+    # low + mid + high, each rounded on its own, need not be
+    total: float
     # s_delta_via_zeros(x, h, delta, table), from the same terms
     s_delta: tuple[float, float]
-
-    @property
-    def total(self) -> float:
-        return self.low + self.mid + self.high
 
 
 def zero_sum_breakdown(x: float, h: float, delta: float,
@@ -322,4 +321,4 @@ def zero_sum_breakdown(x: float, h: float, delta: float,
         low=low, mid=mid, high=high, remainder_bound=remainder,
         ratios=(abs(low) / bounds[0], abs(mid) / bounds[1],
                 abs(high) / bounds[2]),
-        s_delta=_spectral(w, zsum, remainder))
+        total=zsum, s_delta=_spectral(w, zsum, remainder))

@@ -74,3 +74,38 @@ def dense_lambda(limit):
 @pytest.fixture(scope="session")
 def lambda_upto_1e4():
     return np.array([naive_lambda(n) for n in range(10 ** 4 + 1)])
+
+
+def lucy_reference(hi, theta):
+    """arith._lucy_counts(hi, base, theta) with one loop turn per prime
+    p <= isqrt(hi), each forming its right-hand sides before it writes;
+    the reference for the batched strike of the primes above hi^(1/3)."""
+    r = math.isqrt(hi)
+    idx = np.arange(r + 1, dtype=np.int64)
+    small = np.maximum(idx - 1, 0)
+    q = hi // np.maximum(idx, 1)  # q[i] = hi // i for i >= 1
+    large = q - 1
+    if theta:
+        tsmall, tlarge = (np.fromiter(map(math.lgamma, (v + 1).tolist()),
+                                      np.float64, v.size) for v in (idx, q))
+    primes = arith.sieve_primes(r).primes.tolist() if r >= 2 else []
+    for p in primes:
+        sp, top = small[p - 1], min(r, hi // (p * p))
+        mid = min(top, r // p)
+        j = q[mid + 1: top + 1] // p
+        d_mid = large[p: mid * p + 1: p] - sp
+        d_top = small[j] - sp
+        if theta:
+            lp, tp = math.log(p), tsmall[p - 1]
+            tlarge[1: mid + 1] -= lp * d_mid + (tlarge[p: mid * p + 1: p]
+                                                - tp)
+            tlarge[mid + 1: top + 1] -= lp * d_top + (tsmall[j] - tp)
+        large[1: mid + 1] -= d_mid
+        large[mid + 1: top + 1] -= d_top
+        if p * p <= r:
+            d_small = np.repeat(small[p: r // p + 1] - sp, p)[: r + 1 - p * p]
+            if theta:
+                tsmall[p * p:] -= lp * d_small + np.repeat(
+                    tsmall[p: r // p + 1] - tp, p)[: r + 1 - p * p]
+            small[p * p:] -= d_small
+    return [(small, large)] + ([(tsmall, tlarge)] if theta else [])

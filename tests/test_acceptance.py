@@ -7,7 +7,7 @@ the CLI `ppcount verify` and this suite can never drift apart.
 
 import pytest
 
-from ppcount import counting, verify
+from ppcount import arith, counting, verify
 
 CRITERIA = [
     (1, "oracle equivalence, exhaustive to 1e4 and spot 1e5/1e6",
@@ -51,6 +51,20 @@ def test_oracle_equivalence_computes_no_main_term(monkeypatch):
     monkeypatch.setattr(counting, "li", refuse)
     monkeypatch.setattr(counting, "interval_main_term", refuse)
     assert verify.check_oracle_equivalence().passed
+
+
+def test_oracle_equivalence_reaches_the_lucy_branch(monkeypatch):
+    # the spot values 10^5 and 10^6 lie above their minimal base, so
+    # criterion 1 checks the Lucy recurrence that count uses, k = 2, 3
+    his, real = [], arith._lucy_counts
+
+    def recording(hi, *args, **kwargs):
+        his.append(hi)
+        return real(hi, *args, **kwargs)
+
+    monkeypatch.setattr(arith, "_lucy_counts", recording)
+    assert verify.check_oracle_equivalence().passed
+    assert sorted(his) == [10 ** 5] * 2 + [10 ** 6] * 2
 
 
 class TestRunAll:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from ppcount import arith
 from ppcount.errors import CapacityError, CoverageError, DomainError
 
-from conftest import dense_lambda, naive_lambda, trial_division_primes
+from conftest import (dense_lambda, lucy_reference, naive_lambda,
+                      trial_division_primes)
 
 
 class TestSievePrimes:
@@ -391,6 +392,53 @@ class TestPsi:
         with pytest.raises(CoverageError):
             arith.psi(2 ** 64, base100)  # beyond int64, and beyond 100^2
 
+
+
+def assert_lucy_matches_reference(hi, base):
+    """_lucy_counts(hi) against the one-prime-per-turn reference at every
+    small[v] and large[i]: pi exactly, theta within 1e-13 relative."""
+    (ps, pl), (ts, tl) = arith._lucy_counts(hi, base, theta=True)
+    (ws, wl), (wts, wtl) = lucy_reference(hi, True)
+    assert ps.dtype == pl.dtype == np.int64
+    assert np.array_equal(ps, ws) and np.array_equal(pl, wl), hi
+    for got, want in ((ts, wts), (tl, wtl)):
+        assert np.allclose(got, want, rtol=1e-13, atol=0), hi
+
+
+class TestLucyBatch:
+    """The primes p with p**3 > hi strike in one batch (_lucy_batch)."""
+
+    def test_every_hi_to_3000(self, base100):
+        for hi in range(1, 3001):
+            assert_lucy_matches_reference(hi, base100)
+
+    @pytest.mark.parametrize("p", [101, 1009])
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_cube_edges(self, p, shift):
+        # hi = p^3 - 1 puts p in the batch, p^3 keeps it in the loop
+        hi = p ** 3 + shift
+        base = arith.sieve_primes(math.isqrt(hi) + 1)
+        assert_lucy_matches_reference(hi, base)
+
+    def test_near_1e9(self):
+        hi = 10 ** 9 + 12345
+        assert_lucy_matches_reference(hi, arith.sieve_primes(
+            math.isqrt(hi) + 1))
+
+    def test_many_blocks(self, base_1e4, monkeypatch):
+        # three pairs per block: 196 blocks for the 201 values of i with
+        # a batch prime p, p * p <= hi // i
+        calls, real = [], arith._at_quotients
+
+        def counting_at_quotients(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(arith, "_LUCY_BLOCK", 3)
+        monkeypatch.setattr(arith, "_at_quotients", counting_at_quotients)
+        assert_lucy_matches_reference(10 ** 7 + 4321, base_1e4)
+        # one call per block for pi and one for theta
+        assert len(calls) >= 2 * 150
 
 class TestWeightedLambdaSumsAt:
     def test_psi_ladder(self, base_1e4):

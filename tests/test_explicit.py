@@ -470,6 +470,25 @@ class TestZeroSumBreakdown:
             explicit._s_rho_sums(zeros10k.ordinates, ends)[::-1])
         assert abs(bd.total - full) <= 1e-9 * max(abs(full), 1.0)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_total_is_correctly_rounded(self, zeros10k, seed):
+        # the 60 triples of the benchmark's explicit-scan workload for
+        # this seed, drawn as it draws them: x on a log grid over
+        # [1e5, 1e6]. low + mid + high, each rounded on its own, misses
+        # the correctly rounded sum in 68 of the 180 triples of seeds 1-3
+        rng = random.Random(seed)
+        rng.randrange(10 ** 5), rng.randrange(10 ** 5)  # its psi and cstar x
+        for i in range(60):
+            x = round(10 ** (5 + i / 60)) + rng.randrange(1000)
+            d = math.ceil(x / rng.uniform(1000, 9500))
+            h = min(x, d * rng.randrange(2, 41))
+            x, h, d = float(x), float(h), float(d)
+            bd = explicit.zero_sum_breakdown(x, h, d, zeros10k)
+            ends = explicit.TrapezoidWeight(x=x, h=h, delta=d).ends
+            assert bd.total == explicit._exact_sum(
+                explicit._s_rho_sums(zeros10k.ordinates, ends)), (x, h, d)
+            assert bd.s_delta[0] == h + d - bd.total / d, (x, h, d)
+
     def test_ratios_bounded(self, zeros10k):
         bd = explicit.zero_sum_breakdown(1e5, 1e3, 1e2, zeros10k)
         assert all(r <= 10.0 for r in bd.ratios)
