@@ -64,7 +64,8 @@ LUCY_ROOT_LIMIT = 10 ** 7
 
 # _lucy_batch strikes the primes above hi^(1/3) in blocks of whole i
 # values of about this many (i, p) pairs, 128 KB per int64 array; 2^16
-# took no less time, and raised count-ladder's peak RSS by 0.5 MB
+# took no less time, and count-ladder's jobs run 40 times in one
+# process peaked 0.6-0.8 MB higher with it
 _LUCY_BLOCK = 1 << 14
 
 # Miller-Rabin to the prime bases up to 41 is deterministic below psi_13;
@@ -374,9 +375,9 @@ def _lucy_batch(hi: int, ps: np.ndarray,
     starts = np.concatenate(([0], np.cumsum(n)))
     a = 0
     while a < i_max:
-        b = int(np.searchsorted(starts, starts[a] + _LUCY_BLOCK,
-                                side="right")) - 1
-        b = min(max(b, a + 1), i_max)
+        # i = a + 1 .. b: the whole i that fit in _LUCY_BLOCK pairs, or one
+        b = max(a + 1, int(np.searchsorted(starts, starts[a] + _LUCY_BLOCK,
+                                           side="right")) - 1)
         at = starts[a:b] - starts[a]
         p = ps[np.arange(starts[b] - starts[a]) - np.repeat(at, n[a:b])]
         ip = np.repeat(np.arange(a + 1, b + 1, dtype=np.int64), n[a:b]) * p
@@ -442,8 +443,8 @@ def weighted_lambda_sums_at(ns, hi: int, base: PrimeTable) -> np.ndarray:
     up to isqrt(v). Against an extended-precision sum of the same log p
     values, over every distinct hi // n, the result measured at most
     4.9e-15 relative off for hi from 10^6 to 3 * 10^8. The recurrence
-    with theta took about 0.13 s at hi = 10^10 and 3.5 s at 10^12 on a
-    2-vCPU VM, about three times as long as pi alone.
+    with theta took 0.12-0.16 s at hi = 10^10 and 3.1-3.9 s at 10^12
+    on a 2-vCPU VM, about three times as long as pi alone.
     """
     base.check_covers(hi)
     ns = np.asarray(ns, dtype=np.int64)

@@ -102,7 +102,8 @@ def cstar(x: int, k: int, base: PrimeTable) -> float:
     reads every psi off one Lucy recurrence that carries theta beside
     pi, plus the table's proper prime powers, so it sieves nothing
     beyond the base and reaches count_exact's x. In float64, within
-    about 5e-15 relative; (10^10, 2) took 0.16 s and (10^12, 2) 3.4 s.
+    about 5e-15 relative; (10^10, 2) took 0.16-0.18 s and (10^12, 2)
+    3.4-4.3 s.
     """
     psis = arith.weighted_lambda_sums_at(_m_powers(x, k, base), x, base)
     return math.fsum(psis.tolist())

@@ -393,7 +393,6 @@ class TestPsi:
             arith.psi(2 ** 64, base100)  # beyond int64, and beyond 100^2
 
 
-
 def assert_lucy_matches_reference(hi, base):
     """_lucy_counts(hi) against the one-prime-per-turn reference at every
     small[v] and large[i]: pi exactly, theta within 1e-13 relative."""
@@ -439,6 +438,7 @@ class TestLucyBatch:
         assert_lucy_matches_reference(10 ** 7 + 4321, base_1e4)
         # one call per block for pi and one for theta
         assert len(calls) >= 2 * 150
+
 
 class TestWeightedLambdaSumsAt:
     def test_psi_ladder(self, base_1e4):
