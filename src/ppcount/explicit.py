@@ -26,7 +26,14 @@ and one fsum rounds the total once.
 Zero sums pair each rho = 1/2 + i*gamma with its conjugate (computed as
 2*Re in real arithmetic) and are summed correctly rounded, through the
 same per-exponent reduction and one fsum, so small terms are never
-swamped.
+swamped. Each term is formed without complex numbers: the phase
+gamma * log t is reduced modulo pi with pi split in three parts (Cody
+and Waite 1980), the parity of the quotient goes into the amplitude
+t^1.5, and sin and cos of the reduced phase come from their Taylor
+polynomials by Horner's rule. A term is within 4 ulps of its own scale,
+2 * sum over t of t^1.5 / |rho(rho+1)|, of the exact value at the
+rounded phase; the phase is exact to rounding only while its quotient
+by pi stays below 2^32, and larger phases are refused.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from itertools import chain
 import numpy as np
 
 from .arith import LambdaSegment, PrimeTable, lambda_segments
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .zeros import ZeroTable, inv_gamma_sq_beyond
 
 # zeta'/zeta at 0 and -1; the constant and slope of the explicit formula.
@@ -125,12 +132,15 @@ def _exact_parts(a: np.ndarray) -> np.ndarray:
     two per binary exponent present in ``a``.
 
     Needs finite values, no subnormals, |a| < 2^900 and fewer than 2^26
-    values. A Veltkamp split writes each value with exponent e (as
-    frexp gives it) as hi + lo, hi a multiple of 2^(e-26) and lo of
-    2^(e-53), each at most 2^26 such units. Summed per exponent, the
-    halves stay below 2^52 units in every order, so each bucket sum is
-    exact in float64.
+    values; CapacityError from 2^26 values on. A Veltkamp split writes
+    each value with exponent e (as frexp gives it) as hi + lo, hi a
+    multiple of 2^(e-26) and lo of 2^(e-53), each at most 2^26 such
+    units. Summed per exponent, the halves stay below 2^52 units in
+    every order, so each bucket sum is exact in float64.
     """
+    if a.size >= 1 << 26:
+        raise CapacityError(f"exact sums take fewer than 2^26 values, "
+                            f"got {a.size}")
     if a.size == 0:
         return a
     e = np.frexp(a)[1]
@@ -206,20 +216,57 @@ def s_delta_via_psi1(x: float, h: float, delta: float,
     return _psi1_sum(w.ends, base, max(0, math.floor(x - delta))) / delta
 
 
+# pi in three parts (Cody and Waite 1980): 21, 21 and 53 bits, so
+# q * _PI_PARTS[0] and q * _PI_PARTS[1] are exact for integers |q| < 2^32,
+# and the three sum to pi within 2^-102.
+_PI_PARTS = (float.fromhex("0x1.921fbp+1"), float.fromhex("0x1.5110bp-21"),
+             float.fromhex("0x1.18469898cc517p-43"))
+_INV_PI = 1.0 / math.pi
+# the largest |gamma * log t| / pi whose nearest integer is below 2^32
+_Q_LIMIT = 2.0 ** 32 - 0.5
+# Taylor coefficients of sin r / r and cos r in r^2: through r^21 and
+# r^22, which truncates below 2^-59 on |r| <= pi/2
+_SIN = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(11))
+_COS = tuple((-1) ** k / math.factorial(2 * k) for k in range(12))
+
+
+def _horner(r2: np.ndarray, coeffs: tuple[float, ...],
+            out: np.ndarray) -> np.ndarray:
+    """out = sum of coeffs[k] * r2^k, by Horner's rule in place."""
+    np.multiply(r2, coeffs[-1], out=out)
+    for c in coeffs[-2:0:-1]:
+        out += c
+        out *= r2
+    out += coeffs[0]
+    return out
+
+
 def _s_rho_sums(gammas: np.ndarray, signed) -> np.ndarray:
     """2*Re of the sum over (sign, t) pairs of sign * t^(rho+1) /
     (rho(rho+1)), for each positive ordinate (conjugate pair folded in).
 
-    Each endpoint power t^(rho+1) is evaluated as t^1.5 * e^{i g log t}
-    with an independently computed phase, so there is no phase drift
-    across endpoints or ordinates. Every term is at most about
-    0.02 * t^1.5 per endpoint (|rho(rho+1)| > 200), so endpoints below
-    2^600 keep the terms below the 2^900 that _exact_sum needs;
-    DomainError from there on.
+    For each endpoint the phase phi = gamma * log t is rounded once and
+    reduced to r = phi - q*pi, q the integer nearest phi/pi, with pi in
+    three parts: the first two products are exact and the third is
+    below 2^-10, so r is phi - q*pi to a few ulps of pi/2. The factor
+    (-1)^q goes into the amplitude sign * t^1.5, and sin r and cos r on
+    |r| <= pi/2 come from their Taylor polynomials through r^21 and
+    r^22, by Horner's rule in r^2. C and S, the sums of amplitude times
+    cos and sin, give 2*(C*Dr + S*Di) / (Dr^2 + Di^2) with
+    Dr + i*Di = rho(rho+1) = (0.75 - gamma^2) + 2i*gamma. Each term is
+    within 4 * 2^-52 * 2 * sum over t of t^1.5 / |rho(rho+1)| of its
+    exact value at the rounded phases.
+
+    Every term is at most about 0.02 * t^1.5 per endpoint
+    (|rho(rho+1)| > 200), so endpoints below 2^600 keep the terms below
+    the 2^900 that _exact_sum needs; DomainError from there on. A phase
+    whose nearest multiple of pi is 2^32 * pi or more is past the exact
+    reduction and is refused too.
     """
-    rho = 0.5 + 1j * gammas
-    denom = rho * (rho + 1.0)
-    num = np.zeros(len(gammas), dtype=np.complex128)
+    n = len(gammas)
+    gmax = float(np.max(np.abs(gammas), initial=0.0))
+    c, s = np.zeros(n), np.zeros(n)
+    r, q, m, r2, p = (np.empty(n) for _ in range(5))
     for sign, t in signed:
         if not t < 2.0 ** 600:
             raise DomainError(f"zero sums need endpoints t below 2^600, "
@@ -227,8 +274,34 @@ def _s_rho_sums(gammas: np.ndarray, signed) -> np.ndarray:
         if t <= 0.0:
             continue
         lt = math.log(t)
-        num += sign * t ** 1.5 * np.exp(1j * (gammas * lt))
-    return 2.0 * np.real(num / denom)
+        # the largest |q|, as the kernel rounds it
+        if not gmax * abs(lt) * _INV_PI < _Q_LIMIT:
+            raise DomainError(f"zero sums need |gamma * log t| / pi below "
+                              f"2^32, got gamma = {gmax} at t = {t}")
+        amp = sign * t ** 1.5
+        np.multiply(gammas, lt, out=r)
+        np.multiply(r, _INV_PI, out=q)
+        np.rint(q, out=q)
+        for part in _PI_PARTS:
+            np.multiply(q, part, out=p)
+            r -= p
+        # m = amp * (-1)^q: q/2 - floor(q/2) is 0 or 1/2
+        np.multiply(q, 0.5, out=m)
+        np.floor(m, out=p)
+        m -= p
+        m *= -4.0 * amp
+        m += amp
+        np.multiply(r, r, out=r2)
+        _horner(r2, _SIN, p)
+        p *= r
+        p *= m
+        s += p
+        _horner(r2, _COS, p)
+        p *= m
+        c += p
+    dr = 0.75 - gammas * gammas
+    di = 2.0 * gammas
+    return 2.0 * (c * dr + s * di) / (dr * dr + di * di)
 
 
 def trivial_zero_tail(x: float) -> float:

@@ -109,3 +109,18 @@ def lucy_reference(hi, theta):
                     tsmall[p: r // p + 1] - tp, p)[: r + 1 - p * p]
             small[p * p:] -= d_small
     return [(small, large)] + ([(tsmall, tlarge)] if theta else [])
+
+
+def s_rho_reference(gammas, signed):
+    """explicit._s_rho_sums by complex exponentials and one complex
+    division per ordinate: 2*Re of sum sign * t^1.5 * e^{i gamma log t}
+    / (rho(rho+1)); the reference for the real-arithmetic kernel."""
+    rho = 0.5 + 1j * gammas
+    denom = rho * (rho + 1.0)
+    num = np.zeros(len(gammas), dtype=np.complex128)
+    for sign, t in signed:
+        if t <= 0.0:
+            continue
+        lt = math.log(t)
+        num += sign * t ** 1.5 * np.exp(1j * (gammas * lt))
+    return 2.0 * np.real(num / denom)

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_float, mpf_cos_sin, mpf_mul, mpf_sqrt, to_fixed
 
 from ppcount import arith, explicit
-from ppcount.errors import CoverageError, DomainError
+from ppcount.errors import CapacityError, CoverageError, DomainError
 
-from conftest import naive_lambda
+from conftest import naive_lambda, s_rho_reference
 
 
 def weight_eval(w: explicit.TrapezoidWeight, n: float) -> float:
@@ -25,6 +26,21 @@ def weight_eval(w: explicit.TrapezoidWeight, n: float) -> float:
     if n <= x + h:
         return 1.0
     return (x + h + d - n) / d
+
+
+def scan_triples(seed: int) -> list[tuple[float, float, float]]:
+    """The 60 (x, h, delta) triples of the benchmark's explicit-scan
+    workload for this seed, drawn as it draws them: x on a log grid over
+    [1e5, 1e6]."""
+    rng = random.Random(seed)
+    rng.randrange(10 ** 5), rng.randrange(10 ** 5)  # its psi and cstar x
+    triples = []
+    for i in range(60):
+        x = round(10 ** (5 + i / 60)) + rng.randrange(1000)
+        d = math.ceil(x / rng.uniform(1000, 9500))
+        h = min(x, d * rng.randrange(2, 41))
+        triples.append((float(x), float(h), float(d)))
+    return triples
 
 
 def s_rho(gamma: float, x: float, h: float, delta: float) -> complex:
@@ -241,6 +257,13 @@ class TestExactParts:
         parts = explicit._exact_parts(a)
         assert exact_sum(parts.tolist()) == exact_sum(a.tolist())
 
+    def test_refuses_2_26_values(self):
+        # past 2^26 values a bucket sum could round; a zero table that
+        # long would reach here through every zero sum. broadcast_to
+        # allocates nothing
+        with pytest.raises(CapacityError, match="2\\^26"):
+            explicit._exact_parts(np.broadcast_to(1.0, (1 << 26,)))
+
 
 class TestSDelta:
     def test_direct_against_naive(self, base_1e4):
@@ -375,6 +398,134 @@ class TestSRho:
         assert folded == pytest.approx(paired.real, rel=1e-9)
 
 
+def mp_zero_terms(gammas: np.ndarray, signed) -> np.ndarray:
+    """explicit._s_rho_sums from mpmath at the kernel's own rounded
+    phases gamma * log t: each t^1.5 * cos and t^1.5 * sin to 90 bits,
+    summed in fixed point with units of 2^-120, then divided by
+    rho(rho+1) in integers and rounded once."""
+    ends = []
+    for sign, t in signed:
+        if t > 0.0:
+            tf = from_float(t)
+            ends.append((int(sign), mpf_mul(tf, mpf_sqrt(tf, 90), 90),
+                         math.log(t)))
+    out = []
+    for g in gammas.tolist():
+        nr = ni = 0
+        for sign, amp, lt in ends:
+            c, s = mpf_cos_sin(from_float(g * lt), 90)
+            nr += sign * to_fixed(mpf_mul(amp, c, 90), 120)
+            ni += sign * to_fixed(mpf_mul(amp, s, 90), 120)
+        num, den = g.as_integer_ratio()
+        # 4 den^2 rho(rho+1) = p + iq
+        p, q = 3 * den * den - 4 * num * num, 8 * num * den
+        out.append(8 * den * den * (p * nr + q * ni)
+                   / ((p * p + q * q) << 120))
+    return np.array(out)
+
+
+def term_scale(gammas: np.ndarray, signed) -> np.ndarray:
+    """m(gamma) = 2 * sum over t of t^1.5 / |rho(rho+1)|, the size of
+    each endpoint's part of a term before cancellation."""
+    amp = sum(t ** 1.5 for _, t in signed if t > 0.0)
+    rho = 0.5 + 1j * gammas
+    return 2.0 * amp / np.abs(rho * (rho + 1.0))
+
+
+# the kernel's error contract: within 4 ulps of m(gamma)
+KERNEL_ULPS = 4.0
+
+
+def kernel_ulps(gammas: np.ndarray, signed) -> float:
+    """The kernel's largest error against mpmath, in 2^-52 * m(gamma)."""
+    got = explicit._s_rho_sums(gammas, signed)
+    want = mp_zero_terms(gammas, signed)
+    return float(np.max(np.abs(got - want) / term_scale(gammas, signed))
+                 / 2.0 ** -52)
+
+
+class TestZeroSumKernel:
+    def test_polynomials_on_half_period(self):
+        # Horner's sin r and cos r on |r| <= pi/2 against mpmath, within
+        # 1.25 * 2^-52 (measured 1.0 and 0.81); sin through r^19 only
+        # reads 1.5 near r = pi/2
+        r = np.linspace(-math.pi / 2, math.pi / 2, 4001)
+        r2 = r * r
+        sin_r = explicit._horner(r2, explicit._SIN, np.empty_like(r)) * r
+        cos_r = explicit._horner(r2, explicit._COS, np.empty_like(r))
+        for v, s, c in zip(r.tolist(), sin_r.tolist(), cos_r.tolist()):
+            want_c, want_s = (mpmath.mpf(w) for w in
+                              mpf_cos_sin(from_float(v), 90))
+            assert abs(s - want_s) <= 1.25 * 2.0 ** -52, v
+            assert abs(c - want_c) <= 1.25 * 2.0 ** -52, v
+
+    @pytest.mark.parametrize("t", [10.0, 1e4, 3e7 + 123, 2.0 ** 599])
+    def test_single_endpoint_against_mpmath(self, zeros10k, t):
+        ulps = kernel_ulps(zeros10k.ordinates, ((1.0, t),))
+        assert ulps <= KERNEL_ULPS, ulps
+
+    @pytest.mark.parametrize("i", [0, 15, 30, 45, 59])
+    def test_scan_triple_against_mpmath(self, zeros10k, i):
+        x, h, d = scan_triples(1)[i]
+        ends = explicit.TrapezoidWeight(x=x, h=h, delta=d).ends
+        ulps = kernel_ulps(zeros10k.ordinates, ends)
+        assert ulps <= KERNEL_ULPS, (x, h, d, ulps)
+
+    @pytest.mark.parametrize("t", [0.5, 0.999, 7.0, 1e4])
+    def test_phases_on_and_beside_multiples_of_half_pi(self, t):
+        # q flips where the phase crosses an odd multiple of pi/2, and
+        # sin r or cos r vanishes at the multiples; t < 1 gives negative
+        # phases, and ordinate 0 phase 0
+        lt = abs(math.log(t))
+        g = [0.0]
+        for k in (1, 2, 3, 4, 7, 8, 1001, 1002, 2 ** 20 + 1, 2 ** 20 + 2,
+                  2 ** 33 - 3, 2 ** 33 - 4):
+            v = k * (math.pi / 2) / lt
+            g += [v, math.nextafter(v, 0.0), math.nextafter(v, math.inf),
+                  v * (1 - 2.0 ** -40), v * (1 + 2.0 ** -40)]
+        g = np.array(g)
+        for ends in (((1.0, t),),
+                     ((1.0, t), (-1.0, 1.0), (-1.0, math.sqrt(t)))):
+            ulps = kernel_ulps(g, ends)
+            assert ulps <= KERNEL_ULPS, (ends, ulps)
+
+    def test_endpoint_one_is_phase_zero(self, zeros10k):
+        # log 1 = 0: every term is 2 / (rho(rho+1)) taken real
+        g = zeros10k.ordinates
+        got = explicit._s_rho_sums(g, ((1.0, 1.0),))
+        dr = 0.75 - g * g
+        assert np.array_equal(got, 2.0 * dr / (dr * dr + 4.0 * g * g))
+        assert kernel_ulps(g[::50], ((1.0, 1.0), (-1.0, 10.0))) <= KERNEL_ULPS
+
+    def test_phase_refusal(self):
+        # q * pi is exact only for |q| < 2^32: the largest phase the
+        # kernel reduces has q = 2^32 - 1, and the next multiple of pi is
+        # refused, like an endpoint from 2^600 on
+        lt = math.log(2.0)
+        top = (2 ** 32 - 1) * math.pi / lt
+        assert kernel_ulps(np.array([14.134725141734695, top]),
+                           ((1.0, 2.0),)) <= KERNEL_ULPS
+        for big in (2 ** 32 * math.pi / lt, 1e30, math.inf, math.nan):
+            with pytest.raises(DomainError, match="2\\^32"):
+                explicit._s_rho_sums(np.array([14.134725141734695, big]),
+                                     ((1.0, 2.0),))
+        # log t < 0 the same way: the phase bound is on |gamma * log t|
+        with pytest.raises(DomainError, match="2\\^32"):
+            explicit._s_rho_sums(np.array([2 ** 32 * math.pi / lt]),
+                                 ((1.0, 0.5),))
+
+    def test_scan_sums_against_complex_exponentials(self, zeros10k):
+        # explicit-scan's seed-1 zero sums against the earlier kernel's
+        # complex-exponential formula, relative to the sum of m(gamma)
+        g = zeros10k.ordinates
+        for x, h, d in scan_triples(1):
+            ends = explicit.TrapezoidWeight(x=x, h=h, delta=d).ends
+            got = explicit._exact_sum(explicit._s_rho_sums(g, ends))
+            want = explicit._exact_sum(s_rho_reference(g, ends))
+            rel = abs(got - want) / term_scale(g, ends).sum()
+            assert rel <= 1e-15, (x, h, d, rel)
+
+
 class TestTrivialZeroTail:
     def test_leading_term(self):
         # dominated by x^{-1}/2 for large x
@@ -472,17 +623,9 @@ class TestZeroSumBreakdown:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_total_is_correctly_rounded(self, zeros10k, seed):
-        # the 60 triples of the benchmark's explicit-scan workload for
-        # this seed, drawn as it draws them: x on a log grid over
-        # [1e5, 1e6]. low + mid + high, each rounded on its own, misses
-        # the correctly rounded sum in 68 of the 180 triples of seeds 1-3
-        rng = random.Random(seed)
-        rng.randrange(10 ** 5), rng.randrange(10 ** 5)  # its psi and cstar x
-        for i in range(60):
-            x = round(10 ** (5 + i / 60)) + rng.randrange(1000)
-            d = math.ceil(x / rng.uniform(1000, 9500))
-            h = min(x, d * rng.randrange(2, 41))
-            x, h, d = float(x), float(h), float(d)
+        # low + mid + high, each rounded on its own, misses the correctly
+        # rounded sum in 68 of the 180 triples of seeds 1-3
+        for x, h, d in scan_triples(seed):
             bd = explicit.zero_sum_breakdown(x, h, d, zeros10k)
             ends = explicit.TrapezoidWeight(x=x, h=h, delta=d).ends
             assert bd.total == explicit._exact_sum(
