@@ -247,8 +247,9 @@ def _s_rho_sums(gammas: np.ndarray, signed) -> np.ndarray:
 
     For each endpoint the phase phi = gamma * log t is rounded once and
     reduced to r = phi - q*pi, q the integer nearest phi/pi, with pi in
-    three parts: the first two products are exact and the third is
-    below 2^-10, so r is phi - q*pi to a few ulps of pi/2. The factor
+    three parts: q times each of the first two is exact, and q times
+    the third, below 2^-10, rounds by less than 2^-63, so r is
+    phi - q*pi to about an ulp of pi/2. The factor
     (-1)^q goes into the amplitude sign * t^1.5, and sin r and cos r on
     |r| <= pi/2 come from their Taylor polynomials through r^21 and
     r^22, by Horner's rule in r^2. C and S, the sums of amplitude times

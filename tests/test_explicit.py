@@ -475,7 +475,7 @@ class TestZeroSumKernel:
     def test_phases_on_and_beside_multiples_of_half_pi(self, t):
         # q flips where the phase crosses an odd multiple of pi/2, and
         # sin r or cos r vanishes at the multiples; t < 1 gives negative
-        # phases, and ordinate 0 phase 0
+        # phases, and ordinate 0 or the endpoint t = 1 phase 0
         lt = abs(math.log(t))
         g = [0.0]
         for k in (1, 2, 3, 4, 7, 8, 1001, 1002, 2 ** 20 + 1, 2 ** 20 + 2,
@@ -488,14 +488,6 @@ class TestZeroSumKernel:
                      ((1.0, t), (-1.0, 1.0), (-1.0, math.sqrt(t)))):
             ulps = kernel_ulps(g, ends)
             assert ulps <= KERNEL_ULPS, (ends, ulps)
-
-    def test_endpoint_one_is_phase_zero(self, zeros10k):
-        # log 1 = 0: every term is 2 / (rho(rho+1)) taken real
-        g = zeros10k.ordinates
-        got = explicit._s_rho_sums(g, ((1.0, 1.0),))
-        dr = 0.75 - g * g
-        assert np.array_equal(got, 2.0 * dr / (dr * dr + 4.0 * g * g))
-        assert kernel_ulps(g[::50], ((1.0, 1.0), (-1.0, 10.0))) <= KERNEL_ULPS
 
     def test_phase_refusal(self):
         # q * pi is exact only for |q| < 2^32: the largest phase the
@@ -515,8 +507,8 @@ class TestZeroSumKernel:
                                  ((1.0, 0.5),))
 
     def test_scan_sums_against_complex_exponentials(self, zeros10k):
-        # explicit-scan's seed-1 zero sums against the earlier kernel's
-        # complex-exponential formula, relative to the sum of m(gamma)
+        # explicit-scan's seed-1 zero sums against complex exponentials
+        # and complex division, relative to the sum of m(gamma)
         g = zeros10k.ordinates
         for x, h, d in scan_triples(1):
             ends = explicit.TrapezoidWeight(x=x, h=h, delta=d).ends
