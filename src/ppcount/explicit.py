@@ -249,11 +249,11 @@ def _s_rho_sums(gammas: np.ndarray, signed) -> np.ndarray:
     reduced to r = phi - q*pi, q the integer nearest phi/pi, with pi in
     three parts: q times each of the first two is exact, and q times
     the third, below 2^-10, rounds by less than 2^-63, so r is
-    phi - q*pi to about an ulp of pi/2. The factor
-    (-1)^q goes into the amplitude sign * t^1.5, and sin r and cos r on
-    |r| <= pi/2 come from their Taylor polynomials through r^21 and
-    r^22, by Horner's rule in r^2. C and S, the sums of amplitude times
-    cos and sin, give 2*(C*Dr + S*Di) / (Dr^2 + Di^2) with
+    phi - q*pi to about an ulp of pi/2. The factor (-1)^q goes into the
+    amplitude sign * t^1.5, and sin r and cos r on |r| <= pi/2 come from
+    their Taylor polynomials through r^21 and r^22, by Horner's rule in
+    r^2. C and S, the sums of amplitude times cos and sin, give
+    2*(C*Dr + S*Di) / (Dr^2 + Di^2) with
     Dr + i*Di = rho(rho+1) = (0.75 - gamma^2) + 2i*gamma. Each term is
     within 4 * 2^-52 * 2 * sum over t of t^1.5 / |rho(rho+1)| of its
     exact value at the rounded phases.
@@ -275,7 +275,8 @@ def _s_rho_sums(gammas: np.ndarray, signed) -> np.ndarray:
         if t <= 0.0:
             continue
         lt = math.log(t)
-        # the largest |q|, as the kernel rounds it
+        # the kernel's largest |q|: rounding is monotone, so the largest
+        # |gamma| gives the largest |phi| and |phi / pi|
         if not gmax * abs(lt) * _INV_PI < _Q_LIMIT:
             raise DomainError(f"zero sums need |gamma * log t| / pi below "
                               f"2^32, got gamma = {gmax} at t = {t}")
