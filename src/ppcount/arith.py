@@ -1,33 +1,37 @@
 """Exact integer-side arithmetic: sieves, von Mangoldt values, psi and
 prime counts.
 
-One odd-only Eratosthenes kernel, ``_segment_primes``, builds the base
-table (from the table up to its square root) and sieves every window.
-It strikes in two orders. The sparse base primes, those above 1/32 of
-the window's odd candidates and so striking it at most 32 times, are
-struck together, rank by rank, as in Bays and Hudson's segmented sieve
-(BIT 17, 1977), once more of them strike the window than the rank loop
-has turns to pay for (most of the base, in a window far above the
-table); every other prime takes its own slice. So no Python loop turn
-goes to each prime that strikes only a few times. The table itself
-lists the proper prime powers p^r (r >= 2) it certifies, once
+One odd-only Eratosthenes kernel, ``_segment_primes``, sieves every
+window into a mask of its odd candidates. The base table (built from
+the table up to its square root) and ``lambda_segment`` list the
+primes the mask leaves, through ``_list_primes``;
+``prime_count_interval`` only counts them, one ``np.count_nonzero``
+per segment, and so builds no prime list. The kernel strikes in two
+orders. The sparse base primes, those above 1/32 of the window's odd
+candidates and so striking it at most 32 times, are struck together,
+rank by rank, as in Bays and Hudson's segmented sieve (BIT 17, 1977),
+once more of them strike the window than the rank loop has turns to
+pay for (most of the base, in a window far above the table); every
+other prime takes its own slice. So no Python loop turn goes to each
+prime that strikes only a few times. The table itself lists the proper
+prime powers p^r (r >= 2) it certifies, once
 (``PrimeTable.proper_powers``); every prime-power walk takes its slice
 of that list. Interval operations are segmented, so queries near 10^12
 only ever need a base table of primes up to 10^6. Segments are
 processed and merged in a fixed order. The pi and psi ladders of the
 counting module sieve nothing: handed the divisors n = m^k and x,
-``prime_counts_at`` answers pi(x // n) from the table, or above it from
-the Lucy_Hedgehog recurrence over the table's primes, which gives pi at
-every x // n at once. The recurrence strikes in two orders too: the
-primes up to x^(1/3) one loop turn each, and the primes above it, which
-read only values that none of them writes, all at once in blocks of
-(i, p) pairs; at x near 10^9 that is 3 233 of its 3 401 primes.
+``prime_counts_at`` answers pi(x // n) from the table, or above it
+from the Lucy_Hedgehog recurrence over the table's primes, which gives
+pi at every x // n at once. The recurrence strikes in two orders too:
+the primes up to x^(1/3) one loop turn each, and the primes above it,
+which read only values that none of them writes, all at once in blocks
+of (i, p) pairs; at x near 10^9 that is 3 233 of its 3 401 primes.
 ``weighted_lambda_sums_at`` answers psi(x // n) the same way: the
 recurrence carries theta beside pi when asked (log is additive, so the
 n = p*j it strikes take log p each plus the sum of their log j), in
-float64, measured within 4.9e-15 relative, and the table's proper prime
-powers up to x // n add the rest. Both reach x = LUCY_ROOT_LIMIT^2,
-about 10^14.
+float64, measured within 4.9e-15 relative, and the table's proper
+prime powers up to x // n add the rest. Both reach x =
+LUCY_ROOT_LIMIT^2, about 10^14.
 """
 
 from __future__ import annotations
@@ -44,9 +48,12 @@ from .errors import CapacityError, CoverageError, DomainError
 DEFAULT_SEGMENT_LENGTH = 1 << 20
 DEFAULT_SIEVE_BUDGET = 10 ** 8
 
-# Windows at most this long are counted by per-candidate primality
-# testing instead of sieving; cheaper once the window is much shorter
-# than the base prime list.
+# Windows above the table at most this long are counted by per-candidate
+# Miller-Rabin tests instead of sieving. That is not cheaper: on the 654
+# such windows of count_interval(10^12 + 140891, 10^7) for k = 2 and 3,
+# the tests took 27 ms and the counted sieve masks 13 ms (2-vCPU VM).
+# The branch stays only while the benchmark's tracer
+# (perfbench/tracing.py) reads this constant to classify windows.
 MR_WINDOW = 64
 
 # A base prime above n_odds / _FEW_STRIKES, n_odds the window's odd
@@ -137,7 +144,7 @@ def sieve_primes(limit: int) -> PrimeTable:
         raise CapacityError(f"sieve limit {limit} exceeds memory budget "
                             f"{DEFAULT_SIEVE_BUDGET}")
     primes = (np.arange(2, limit + 1, dtype=np.int64) if limit < 4 else
-              _segment_primes(0, limit, sieve_primes(math.isqrt(limit))))
+              _list_primes(0, limit, sieve_primes(math.isqrt(limit))))
     return PrimeTable(limit=limit, primes=primes)
 
 
@@ -191,11 +198,14 @@ def _check_interval(lo: int, hi: int, base: PrimeTable) -> None:
     base.check_covers(hi)
 
 
-def _segment_primes(lo: int, hi: int, base: PrimeTable) -> np.ndarray:
-    """Primes in (lo, hi] by odd-only sieving with the base table: the
-    mask holds the odd candidates from o0 = max(3, first odd > lo), and
-    each odd base prime p <= sqrt(hi) strikes its odd multiples from
-    max(p*p, o0) on; a p with none in the mask costs no loop turn.
+def _segment_primes(lo: int, hi: int,
+                    base: PrimeTable) -> tuple[np.ndarray, int]:
+    """(mask, o0): the odd-only sieve of (lo, hi] with the base table.
+    mask[i] is True exactly when o0 + 2*i is prime, o0 = max(3, first
+    odd > lo); each odd base prime p <= sqrt(hi) strikes its odd
+    multiples from max(p*p, o0) on, and a p with none in the mask costs
+    no loop turn. The prime 2 is the caller's: _list_primes lists the
+    primes, prime_count_interval counts them.
 
     Two strike orders share the mask, split by one rule. The sparse
     primes are the suffix of the base above n_odds / _FEW_STRIKES, found
@@ -228,6 +238,13 @@ def _segment_primes(lo: int, hi: int, base: PrimeTable) -> np.ndarray:
             rs, rj = rs[keep], rj[keep]
     for p, j in zip(ps[hit].tolist(), js[hit].tolist()):
         mask[j::p] = False
+    return mask, o0
+
+
+def _list_primes(lo: int, hi: int, base: PrimeTable) -> np.ndarray:
+    """Primes in (lo, hi], ascending, int64: 2 when lo < 2 <= hi, then
+    the odd candidates that one _segment_primes mask leaves standing."""
+    mask, o0 = _segment_primes(lo, hi, base)
     two = np.array([2] if lo < 2 <= hi else [], dtype=np.int64)
     return np.concatenate((two, o0 + 2 * np.flatnonzero(mask)))
 
@@ -242,7 +259,14 @@ def _segments(lo: int, hi: int, seg_len: int):
 
 def prime_count_interval(lo: int, hi: int, base: PrimeTable, *,
                          seg_len: int = DEFAULT_SEGMENT_LENGTH) -> int:
-    """#{p prime : lo < p <= hi}."""
+    """#{p prime : lo < p <= hi}.
+
+    Up to hi <= base.limit, one lookup in the table; above it, windows
+    of at most MR_WINDOW integers by a Miller-Rabin test per candidate,
+    longer ones segment by segment, each segment's _segment_primes mask
+    counted with np.count_nonzero, plus 1 for p = 2 when lo < 2 <= hi;
+    no prime is listed.
+    """
     if lo < 1:
         raise DomainError(f"prime_count_interval requires lo >= 1, got {lo}")
     _check_interval(lo, hi, base)
@@ -253,8 +277,9 @@ def prime_count_interval(lo: int, hi: int, base: PrimeTable, *,
                    - np.searchsorted(base.primes, lo, side="right"))
     if hi - lo <= MR_WINDOW:
         return sum(1 for n in range(lo + 1, hi + 1) if is_prime(n))
-    return sum(len(_segment_primes(s, e, base))
-               for s, e in _segments(lo, hi, seg_len))
+    return (lo < 2 <= hi) + sum(
+        int(np.count_nonzero(_segment_primes(s, e, base)[0]))
+        for s, e in _segments(lo, hi, seg_len))
 
 
 def check_lucy_reach(hi: int) -> None:
@@ -394,7 +419,7 @@ def lambda_segment(lo: int, hi: int, base: PrimeTable) -> LambdaSegment:
     """All n in (lo, hi] with Lambda(n) != 0, with log p: the primes of
     one sieve of (lo, hi] and the table's proper prime powers there."""
     _check_interval(lo, hi, base)
-    return _with_powers(_segment_primes(lo, hi, base), lo, hi, base)
+    return _with_powers(_list_primes(lo, hi, base), lo, hi, base)
 
 
 def _with_powers(primes: np.ndarray, lo: int, hi: int,

@@ -126,10 +126,12 @@ def count_interval(x: int, h: int, k: int, base: PrimeTable, *,
     (x // m^k, (x+h) // m^k]; nothing below x is ever sieved.
 
     The coverage of x + h is checked first. The windows are built in
-    int64 for _M_BLOCK values of m at a time, and only the non-empty
-    ones reach arith.prime_count_interval: once m^k > h a window holds
-    at most one integer, and the empty ones, most of the m at large x,
-    cost no Python loop turn.
+    int64 for _M_BLOCK values of m at a time. The non-empty ones inside
+    the base table, most of the m that count at large x, are answered
+    by one searchsorted pair per block; only those above the table
+    reach arith.prime_count_interval, one call each. Once m^k > h a
+    window holds at most one integer, and the empty ones cost no Python
+    loop turn.
     """
     k = _check_xk(x, k)
     if h < 1:
@@ -142,7 +144,12 @@ def count_interval(x: int, h: int, k: int, base: PrimeTable, *,
                        dtype=np.int64) ** k
         lo, hi = x // mk, (x + h) // mk
         full = hi > lo
-        for a, b in zip(lo[full].tolist(), hi[full].tolist()):
+        table = full & (hi <= base.limit)
+        total += int(np.sum(
+            np.searchsorted(base.primes, hi[table], side="right")
+            - np.searchsorted(base.primes, lo[table], side="right")))
+        above = full & ~table
+        for a, b in zip(lo[above].tolist(), hi[above].tolist()):
             total += arith.prime_count_interval(max(a, 1), b, base,
                                                 seg_len=seg_len)
     return total

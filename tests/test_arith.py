@@ -65,19 +65,19 @@ class TestSegmentPrimes:
         (9410, 9500),              # 97 <= sqrt(hi) has no odd multiple here
     ])
     def test_against_trial_division(self, base100, lo, hi):
-        got = arith._segment_primes(lo, hi, base100)
+        got = arith._list_primes(lo, hi, base100)
         assert got.dtype == np.int64
         assert got.tolist() == trial_division_primes(hi, lo)
 
     def test_beyond_small_base(self, base_1e4):
         lo, hi = 10 ** 6, 10 ** 6 + 1000
-        assert (arith._segment_primes(lo, hi, base_1e4).tolist()
+        assert (arith._list_primes(lo, hi, base_1e4).tolist()
                 == trial_division_primes(hi, lo))
 
     def test_near_1e12(self, base_1e6):
         lo, hi = 10 ** 12 - 1000, 10 ** 12 + 1000
         want = [n for n in range(lo + 1, hi + 1) if arith.is_prime(n)]
-        assert arith._segment_primes(lo, hi, base_1e6).tolist() == want
+        assert arith._list_primes(lo, hi, base_1e6).tolist() == want
 
     def test_both_strike_orders_near_1e12(self, base_1e6):
         # 50 000 odd candidates: the primes below 1 563 strike more than
@@ -85,7 +85,7 @@ class TestSegmentPrimes:
         lo, hi = 10 ** 12 - 37, 10 ** 12 + 100_000
         assert ranked(lo, hi, base_1e6)
         want = [n for n in range(lo + 1, hi + 1) if arith.is_prime(n)]
-        assert arith._segment_primes(lo, hi, base_1e6).tolist() == want
+        assert arith._list_primes(lo, hi, base_1e6).tolist() == want
 
     @pytest.mark.parametrize("limit", [100, 10 ** 3, 10 ** 4, 10 ** 5])
     def test_seeded_windows_against_is_prime(self, limit):
@@ -96,9 +96,12 @@ class TestSegmentPrimes:
             width = int(10 ** rng.uniform(1, math.log10(widest)))
             top = limit * limit - width
             lo = int(10 ** rng.uniform(0, math.log10(top + 1))) - 1
-            got = arith._segment_primes(lo, lo + width, base).tolist()
+            got = arith._list_primes(lo, lo + width, base).tolist()
             assert got == [n for n in range(lo + 1, lo + width + 1)
                            if arith.is_prime(n)], (lo, width)
+            # the count reads the same mask without listing it
+            assert arith.prime_count_interval(max(lo, 1), lo + width,
+                                              base) == len(got), (lo, width)
 
     # Near 10^12 the window's n_odds odd candidates start at o0 = p * m0,
     # and p = 1009 strikes every p-th of them from there. p is sparse when
@@ -121,7 +124,7 @@ class TestSegmentPrimes:
         assert ranked(lo, hi, base_1e6)
         want = [n for n in range(lo + 1, hi + 1) if arith.is_prime(n)]
         assert p * (m0 + 62) <= hi and p * (m0 + 62) not in want
-        assert arith._segment_primes(lo, hi, base_1e6).tolist() == want
+        assert arith._list_primes(lo, hi, base_1e6).tolist() == want
 
     @pytest.mark.parametrize("lo, hi, rank_order", [
         (0, 10 ** 4, False),                    # 3 from 9, 97 from 97^2
@@ -134,7 +137,7 @@ class TestSegmentPrimes:
         base = base100 if hi <= 100 ** 2 else base_1e4
         assert ranked(lo, hi, base) == rank_order
         want = [n for n in range(lo + 1, hi + 1) if arith.is_prime(n)]
-        assert arith._segment_primes(lo, hi, base).tolist() == want
+        assert arith._list_primes(lo, hi, base).tolist() == want
 
     @pytest.mark.parametrize("lo, hi", [
         (10 ** 6, 10 ** 6 + 1000),      # 137 sparse primes
@@ -142,7 +145,7 @@ class TestSegmentPrimes:
     ])
     def test_few_sparse_primes_take_slices(self, base_1e4, lo, hi):
         assert 0 < sparse_hits(lo, hi, base_1e4) <= arith._RANK_MIN
-        got = arith._segment_primes(lo, hi, base_1e4)
+        got = arith._list_primes(lo, hi, base_1e4)
         assert got.tolist() == [n for n in range(lo + 1, hi + 1)
                                 if arith.is_prime(n)]
 
@@ -152,7 +155,7 @@ class TestSegmentPrimes:
         lo, hi = 10 ** 12, 10 ** 12 + 100
         assert base_1e6.primes.size > arith._RANK_MIN
         assert 0 < sparse_hits(lo, hi, base_1e6) <= arith._RANK_MIN
-        assert arith._segment_primes(lo, hi, base_1e6).tolist() == [
+        assert arith._list_primes(lo, hi, base_1e6).tolist() == [
             n for n in range(lo + 1, hi + 1) if arith.is_prime(n)]
 
 
@@ -248,6 +251,15 @@ class TestPrimeCountInterval:
         want = sum(1 for n in range(lo + 1, lo + 51)
                    if all(n % d for d in range(2, math.isqrt(n) + 1)))
         assert arith.prime_count_interval(lo, lo + 50, base_1e4) == want
+
+    def test_sieve_branch_counts_two(self):
+        # on a table to 10, every window here lies above it and is longer
+        # than MR_WINDOW, so the sieve branch must add p = 2 itself
+        base = arith.sieve_primes(10)
+        assert 66 - 1 > arith.MR_WINDOW
+        assert arith.prime_count_interval(1, 100, base) == 25
+        assert arith.prime_count_interval(1, 66, base) == 18
+        assert arith.prime_count_interval(2, 100, base) == 24
 
     def test_additivity(self, base_1e4):
         lo, mid, hi = 10 ** 5, 10 ** 5 + 7777, 10 ** 5 + 30000

@@ -288,6 +288,21 @@ class TestCountInterval:
                 - counting.count_exact(x, k, base))
         assert counting.count_interval(x, h, k, base) == want
 
+    def test_windows_at_table_edge_against_lucy_difference(self):
+        # on a table to 200, m = 11 gives (133, 200], answered inside the
+        # table; m = 10 gives (162, 243], which straddles its end; m = 9
+        # gives (200, 300], wholly above it
+        x, h, k = 16200, 8100, 2
+        base = arith.sieve_primes(200)
+        windows = [(x // m ** k, (x + h) // m ** k)
+                   for m in range(1, arith.iroot(x + h, k) + 1)]
+        assert any(b == base.limit and a < b for a, b in windows)
+        assert any(a == base.limit and a < b for a, b in windows)
+        assert any(a < base.limit < b for a, b in windows)
+        want = (counting.count_exact(x + h, k, base)
+                - counting.count_exact(x, k, base))
+        assert counting.count_interval(x, h, k, base) == want
+
     def test_coverage_checked_first(self, base100, monkeypatch):
         # refused before any window is built or sieved
         monkeypatch.setattr(counting, "np", None)
