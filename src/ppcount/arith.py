@@ -2,36 +2,35 @@
 prime counts.
 
 One odd-only Eratosthenes kernel, ``_segment_primes``, sieves every
-window into a mask of its odd candidates. The base table (built from
-the table up to its square root) and ``lambda_segment`` list the
-primes the mask leaves, through ``_list_primes``;
-``prime_count_interval`` only counts them, one ``np.count_nonzero``
-per segment, and so builds no prime list. The kernel strikes in two
-orders. The sparse base primes, those above 1/32 of the window's odd
-candidates and so striking it at most 32 times, are struck together,
-rank by rank, as in Bays and Hudson's segmented sieve (BIT 17, 1977),
-once more of them strike the window than the rank loop has turns to
-pay for (most of the base, in a window far above the table); every
-other prime takes its own slice. So no Python loop turn goes to each
-prime that strikes only a few times. The table itself lists the proper
-prime powers p^r (r >= 2) it certifies, once
+window into a mask of its odd candidates. ``_list_primes`` lists the
+primes the mask leaves, for the base table (built from the table up
+to its square root) and ``lambda_segment``; ``prime_count_interval``
+only counts them, one ``np.count_nonzero`` per segment. The kernel
+strikes in two orders. The sparse base primes, those above 1/32 of
+the window's odd candidates and so striking it at most 32 times, are
+struck together, rank by rank, as in Bays and Hudson's segmented sieve
+(BIT 17, 1977), once more of them strike the window than the rank loop
+has turns to pay for (most of the base, in a window far above the
+table); every other prime takes its own slice. So no Python loop turn
+goes to each prime that strikes only a few times. The table itself
+lists the proper prime powers p^r (r >= 2) it certifies, once
 (``PrimeTable.proper_powers``); every prime-power walk takes its slice
 of that list. Interval operations are segmented, so queries near 10^12
 only ever need a base table of primes up to 10^6. Segments are
 processed and merged in a fixed order. The pi and psi ladders of the
 counting module sieve nothing: handed the divisors n = m^k and x,
-``prime_counts_at`` answers pi(x // n) from the table, or above it
-from the Lucy_Hedgehog recurrence over the table's primes, which gives
-pi at every x // n at once. The recurrence strikes in two orders too:
-the primes up to x^(1/3) one loop turn each, and the primes above it,
-which read only values that none of them writes, all at once in blocks
-of (i, p) pairs; at x near 10^9 that is 3 233 of its 3 401 primes.
+``prime_counts_at`` answers pi(x // n) from the table, or above it from
+the Lucy_Hedgehog recurrence over the table's primes, which gives pi at
+every x // n at once. The recurrence strikes in two orders too: the
+primes up to x^(1/3) one loop turn each, and the primes above it, which
+read only values that none of them writes, all at once in blocks of
+(i, p) pairs; at x near 10^9 that is 3 233 of its 3 401 primes.
 ``weighted_lambda_sums_at`` answers psi(x // n) the same way: the
 recurrence carries theta beside pi when asked (log is additive, so the
 n = p*j it strikes take log p each plus the sum of their log j), in
-float64, measured within 4.9e-15 relative, and the table's proper
-prime powers up to x // n add the rest. Both reach x =
-LUCY_ROOT_LIMIT^2, about 10^14.
+float64, measured within 4.9e-15 relative, and the table's proper prime
+powers up to x // n add the rest. Both reach x = LUCY_ROOT_LIMIT^2,
+about 10^14.
 """
 
 from __future__ import annotations
