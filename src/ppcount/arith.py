@@ -31,6 +31,9 @@ n = p*j it strikes take log p each plus the sum of their log j), in
 float64, measured within 4.9e-15 relative, and the table's proper prime
 powers up to x // n add the rest. Both reach x = LUCY_ROOT_LIMIT^2,
 about 10^14.
+
+No window is tested candidate by candidate: ``is_prime`` (Miller-Rabin)
+serves only callers that test single numbers.
 """
 
 from __future__ import annotations
@@ -47,13 +50,14 @@ from .errors import CapacityError, CoverageError, DomainError
 DEFAULT_SEGMENT_LENGTH = 1 << 20
 DEFAULT_SIEVE_BUDGET = 10 ** 8
 
-# Windows above the table at most this long are counted by per-candidate
-# Miller-Rabin tests instead of sieving. That is not cheaper: on the 654
-# such windows of count_interval(10^12 + 140891, 10^7) for k = 2 and 3,
-# the tests took 27 ms and the counted sieve masks 13 ms (2-vCPU VM).
-# The branch stays only while the benchmark's tracer
-# (perfbench/tracing.py) reads this constant to classify windows.
-MR_WINDOW = 64
+# No window is tested candidate by candidate: every window above the
+# table is sieved, however short (on the 654 windows of at most 64
+# integers of count_interval(10^12 + 140891, 10^7), k = 2 and 3,
+# Miller-Rabin tests took 27 ms and the counted masks 13 ms, 2-vCPU VM).
+# The constant stays, at 0, only because the benchmark's tracer
+# (perfbench/tracing.py) reads it to classify windows; no library code
+# reads it.
+MR_WINDOW = 0
 
 # A base prime above n_odds / _FEW_STRIKES, n_odds the window's odd
 # candidates, is sparse there: it strikes at most _FEW_STRIKES times. The
@@ -260,22 +264,17 @@ def prime_count_interval(lo: int, hi: int, base: PrimeTable, *,
                          seg_len: int = DEFAULT_SEGMENT_LENGTH) -> int:
     """#{p prime : lo < p <= hi}.
 
-    Up to hi <= base.limit, one lookup in the table; above it, windows
-    of at most MR_WINDOW integers by a Miller-Rabin test per candidate,
-    longer ones segment by segment, each segment's _segment_primes mask
-    counted with np.count_nonzero, plus 1 for p = 2 when lo < 2 <= hi;
-    no prime is listed.
+    Up to hi <= base.limit, one lookup in the table; above it, however
+    short the window, segment by segment, each segment's _segment_primes
+    mask counted with np.count_nonzero, plus 1 for p = 2 when
+    lo < 2 <= hi; no prime is listed.
     """
     if lo < 1:
         raise DomainError(f"prime_count_interval requires lo >= 1, got {lo}")
     _check_interval(lo, hi, base)
-    if lo == hi:
-        return 0
     if hi <= base.limit:
         return int(np.searchsorted(base.primes, hi, side="right")
                    - np.searchsorted(base.primes, lo, side="right"))
-    if hi - lo <= MR_WINDOW:
-        return sum(1 for n in range(lo + 1, hi + 1) if is_prime(n))
     return (lo < 2 <= hi) + sum(
         int(np.count_nonzero(_segment_primes(s, e, base)[0]))
         for s, e in _segments(lo, hi, seg_len))
@@ -353,6 +352,7 @@ def _lucy_counts(hi: int, base: PrimeTable,
     if theta:
         tsmall, tlarge = (np.fromiter(map(math.lgamma, (v + 1).tolist()),
                                       np.float64, v.size) for v in (idx, q))
+    del idx  # only the starting arrays read it
     ic = bisect_right(base.primes, iroot(hi, 3))
     for p in base.primes[:ic].tolist():
         sp, top = small[p - 1], min(r, hi // (p * p))

@@ -129,7 +129,8 @@ def count_interval(x: int, h: int, k: int, base: PrimeTable, *,
     int64 for _M_BLOCK values of m at a time. The non-empty ones inside
     the base table, most of the m that count at large x, are answered
     by one searchsorted pair per block; only those above the table
-    reach arith.prime_count_interval, one call each. Once m^k > h a
+    reach arith.prime_count_interval, one call each, which sieves every
+    one of them, however short, into counted masks. Once m^k > h a
     window holds at most one integer, and the empty ones cost no Python
     loop turn.
     """

@@ -245,21 +245,47 @@ class TestPrimeCountInterval:
         want = sum(1 for p in trial_division_primes(hi) if p > lo)
         assert arith.prime_count_interval(lo, hi, base100) == want
 
-    def test_short_window_mr_path(self, base_1e4):
-        # window below MR_WINDOW, above base.limit: per-candidate testing
+    def test_short_window_above_table(self, base_1e4):
+        # a 50-integer window above base.limit, sieved like a long one
         lo = 10 ** 6
         want = sum(1 for n in range(lo + 1, lo + 51)
                    if all(n % d for d in range(2, math.isqrt(n) + 1)))
         assert arith.prime_count_interval(lo, lo + 50, base_1e4) == want
 
     def test_sieve_branch_counts_two(self):
-        # on a table to 10, every window here lies above it and is longer
-        # than MR_WINDOW, so the sieve branch must add p = 2 itself
+        # on a table to 10, every window here lies above it, so the sieve
+        # branch must add p = 2 itself
         base = arith.sieve_primes(10)
         assert 66 - 1 > arith.MR_WINDOW
         assert arith.prime_count_interval(1, 100, base) == 25
         assert arith.prime_count_interval(1, 66, base) == 18
         assert arith.prime_count_interval(2, 100, base) == 24
+
+    def test_short_windows_counted_without_is_prime(self, base_1e4,
+                                                    base_1e6, monkeypatch):
+        # every window (lo, lo + w], w = 0 .. 65: below 10^12 (lo of both
+        # parities), across the table's end, up to its coverage end 10^8,
+        # and from lo = 1, 2, 3 on a table to 10, where p = 2 is added to
+        # the masks; none is tested candidate by candidate
+        is_prime = arith.is_prime
+
+        def refuse(n):
+            raise AssertionError(f"is_prime({n}) called")
+
+        monkeypatch.setattr(arith, "is_prime", refuse)
+        base_10 = arith.sieve_primes(10)
+        ws = range(66)
+        cases = [(base_1e6, lo, w) for lo in
+                 (10 ** 12 - 140891, 10 ** 12 - 4000, 10 ** 12 - 65)
+                 for w in ws]
+        cases += [(base_1e4, lo, w) for lo in (10 ** 4 - 33, 10 ** 4 - 2)
+                  for w in ws]
+        cases += [(base_1e4, 10 ** 8 - w, w) for w in ws]
+        cases += [(base_10, lo, w) for lo in (1, 2, 3) for w in ws]
+        for base, lo, w in cases:
+            want = sum(map(is_prime, range(lo + 1, lo + w + 1)))
+            assert arith.prime_count_interval(lo, lo + w, base) == want, (
+                base.limit, lo, w)
 
     def test_additivity(self, base_1e4):
         lo, mid, hi = 10 ** 5, 10 ** 5 + 7777, 10 ** 5 + 30000

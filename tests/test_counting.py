@@ -303,6 +303,17 @@ class TestCountInterval:
                 - counting.count_exact(x, k, base))
         assert counting.count_interval(x, h, k, base) == want
 
+    @pytest.mark.parametrize("k, want", [(2, 684795), (3, 485112)])
+    def test_window_sieve_against_lucy_difference_at_1e11(self, k, want):
+        # on the minimal base, 168 (k = 2) and 15 (k = 3) of the windows
+        # above the table hold at most 64 integers, and are sieved like
+        # the long ones; the Lucy ladders of count_exact sieve nothing
+        x, h = 10 ** 11 + 4321, 10 ** 7
+        base = arith.sieve_primes(math.isqrt(x + h) + 1)
+        assert (counting.count_exact(x + h, k, base)
+                - counting.count_exact(x, k, base)) == want
+        assert counting.count_interval(x, h, k, base) == want
+
     def test_coverage_checked_first(self, base100, monkeypatch):
         # refused before any window is built or sieved
         monkeypatch.setattr(counting, "np", None)
