@@ -25,12 +25,14 @@ every x // n at once. The recurrence strikes in two orders too: the
 primes up to x^(1/3) one loop turn each, and the primes above it, which
 read only values that none of them writes, all at once in blocks of
 (i, p) pairs; at x near 10^9 that is 3 233 of its 3 401 primes.
-``weighted_lambda_sums_at`` answers psi(x // n) the same way: the
-recurrence carries theta beside pi when asked (log is additive, so the
-n = p*j it strikes take log p each plus the sum of their log j), in
+``weighted_lambda_sums_at`` answers psi(x // n) through the same body:
+the recurrence carries theta beside pi when asked (log is additive, so
+the n = p*j it strikes take log p each plus the sum of their log j), in
 float64, measured within 4.9e-15 relative, and the table's proper prime
-powers up to x // n add the rest. Both reach x = LUCY_ROOT_LIMIT^2,
-about 10^14.
+powers up to x // n add the rest. Each carried sum strikes by one
+chained expression, the same in both orders: log p times the strike
+of the sum before it, plus its own difference. Both reach
+x = LUCY_ROOT_LIMIT^2, about 10^14.
 
 No window is tested candidate by candidate: ``is_prime`` (Miller-Rabin)
 serves only callers that test single numbers.
@@ -264,17 +266,14 @@ def prime_count_interval(lo: int, hi: int, base: PrimeTable, *,
                          seg_len: int = DEFAULT_SEGMENT_LENGTH) -> int:
     """#{p prime : lo < p <= hi}.
 
-    Up to hi <= base.limit, one lookup in the table; above it, however
-    short the window, segment by segment, each segment's _segment_primes
-    mask counted with np.count_nonzero, plus 1 for p = 2 when
-    lo < 2 <= hi; no prime is listed.
+    However short the window, and inside the table or above it, segment
+    by segment, each segment's _segment_primes mask counted with
+    np.count_nonzero, plus 1 for p = 2 when lo < 2 <= hi; no prime is
+    listed. count_interval looks the windows inside the table up itself.
     """
     if lo < 1:
         raise DomainError(f"prime_count_interval requires lo >= 1, got {lo}")
     _check_interval(lo, hi, base)
-    if hi <= base.limit:
-        return int(np.searchsorted(base.primes, hi, side="right")
-                   - np.searchsorted(base.primes, lo, side="right"))
     return (lo < 2 <= hi) + sum(
         int(np.count_nonzero(_segment_primes(s, e, base)[0]))
         for s, e in _segments(lo, hi, seg_len))
@@ -282,8 +281,8 @@ def prime_count_interval(lo: int, hi: int, base: PrimeTable, *,
 
 def check_lucy_reach(hi: int) -> None:
     """CapacityError once isqrt(hi) passes LUCY_ROOT_LIMIT, where the
-    Lucy recurrence's arrays would pass about 0.5 GB. prime_counts_at
-    refuses through it; count and sweep call it before they sieve."""
+    Lucy recurrence's arrays would pass about 0.5 GB. Both ladders
+    refuse through it; count and sweep call it before they sieve."""
     r = math.isqrt(hi)
     if r > LUCY_ROOT_LIMIT:
         raise CapacityError(f"pi ladder to {hi} needs the Lucy recurrence "
@@ -300,14 +299,28 @@ def prime_counts_at(ns, hi: int, base: PrimeTable) -> np.ndarray:
     O(hi^(1/2)) memory; CapacityError once isqrt(hi) passes
     LUCY_ROOT_LIMIT.
     """
+    return _ladder(ns, hi, base, theta=False)
+
+
+def _ladder(ns, hi: int, base: PrimeTable, theta: bool) -> np.ndarray:
+    """pi(hi // n), or psi(hi // n) when ``theta`` is set, for every n
+    in ``ns``: the body of prime_counts_at and weighted_lambda_sums_at,
+    which read the last pair of _lucy_counts(hi, base, theta)."""
     base.check_covers(hi)
     ns = np.asarray(ns, dtype=np.int64)
     if hi <= base.limit:
-        return np.searchsorted(base.primes, hi // ns,
-                               side="right").astype(np.int64)
+        n, cum = base.psi_table if theta else (base.primes, None)
+        at = np.searchsorted(n, hi // ns, side="right")
+        return cum[at].astype(np.float64) if theta else at.astype(np.int64)
     check_lucy_reach(hi)
-    (pi,) = _lucy_counts(hi, base)
-    return _at_quotients(ns, hi, *pi)
+    got = _at_quotients(ns, hi, *_lucy_counts(hi, base, theta)[-1])
+    if theta:
+        n, p = base.proper_powers
+        j = np.searchsorted(n, hi, side="right")
+        cum = np.cumsum(np.concatenate(([0.0],
+                                        np.log(p[:j].astype(np.float64)))))
+        got = got + cum[np.searchsorted(n[:j], hi // ns, side="right")]
+    return got
 
 
 def _at_quotients(ns: np.ndarray, hi: int, small: np.ndarray,
@@ -327,32 +340,36 @@ def _lucy_counts(hi: int, base: PrimeTable,
 
     pi starts as v - 1, the count of 2..v, and theta as log(v!), the sum
     of log n over 2..v (math.lgamma, float64). Each table prime p <= r
-    strikes the n = p*j whose least prime factor is p, for v >= p*p:
+    strikes the n = p*j whose least prime factor is p, for v >= p*p,
+    each carried sum by one chained expression, log p times the strike
+    of the sum before it (none for pi) plus its own difference:
 
-        pi(v) -= pi(v // p) - pi(p - 1)
-        theta(v) -= log p * (pi(v // p) - pi(p - 1))
-                    + theta(v // p) - theta(p - 1)
+        pi(v) -= d = pi(v // p) - pi(p - 1)
+        theta(v) -= log p * d + (theta(v // p) - theta(p - 1))
+
+    One statement writes each region of each pair; the rows v = p*p .. r
+    are chained on the r/p values of v // p, before one np.repeat.
 
     It strikes in two orders, split at c = iroot(hi, 3). The primes
     p <= c strike in turn, one loop turn each; every right-hand side of
-    p is formed before either array of p is written, so it reads S as it
-    was before p. The primes above c strike together, in _lucy_batch,
-    from one snapshot: none of them reads a value another writes. small
-    is written only by the p with p*p <= r, all below c, so it is final
-    by then. A p with p**3 > hi writes large[i] only for i <= hi // p**2,
-    which is below p, and reads large[i*p] only at i*p >= p; so every
-    index written by a prime above c lies below every index read by one,
-    and their subtractions commute.
+    p is formed before its pair is written, so it reads S as it was
+    before p. The primes above c strike together, in _lucy_batch, by
+    the same chain, from one snapshot: none of them reads a value
+    another writes. small is written only by the p with p*p <= r, all
+    below c, so it is final by then. A p with p**3 > hi writes large[i]
+    only for i <= hi // p**2, which is below p, and reads large[i*p]
+    only at i*p >= p; so every index written by a prime above c lies
+    below every index read by one, and their subtractions commute.
     """
     r = math.isqrt(hi)
     idx = np.arange(r + 1, dtype=np.int64)
-    small = np.maximum(idx - 1, 0)
     q = hi // np.maximum(idx, 1)  # q[i] = hi // i for i >= 1
-    large = q - 1
+    pairs = [(np.maximum(idx - 1, 0), q - 1)]
     if theta:
-        tsmall, tlarge = (np.fromiter(map(math.lgamma, (v + 1).tolist()),
-                                      np.float64, v.size) for v in (idx, q))
+        pairs.append(tuple(np.fromiter(map(math.lgamma, (v + 1).tolist()),
+                                       np.float64, v.size) for v in (idx, q)))
     del idx  # only the starting arrays read it
+    small, large = pairs[0]
     ic = bisect_right(base.primes, iroot(hi, 3))
     for p in base.primes[:ic].tolist():
         sp, top = small[p - 1], min(r, hi // (p * p))
@@ -362,21 +379,19 @@ def _lucy_counts(hi: int, base: PrimeTable,
         j = q[mid + 1: top + 1] // p
         d_mid = large[p: mid * p + 1: p] - sp
         d_top = small[j] - sp
-        if theta:
-            lp, tp = math.log(p), tsmall[p - 1]
-            tlarge[1: mid + 1] -= lp * d_mid + (tlarge[p: mid * p + 1: p]
-                                                - tp)
-            tlarge[mid + 1: top + 1] -= lp * d_top + (tsmall[j] - tp)
-        large[1: mid + 1] -= d_mid
-        large[mid + 1: top + 1] -= d_top
-        if p * p <= r:
-            # the same for v = p*p .. r: each v // p comes p times
-            d_small = np.repeat(small[p: r // p + 1] - sp, p)[: r + 1 - p * p]
-            if theta:
-                tsmall[p * p:] -= lp * d_small + np.repeat(
-                    tsmall[p: r // p + 1] - tp, p)[: r + 1 - p * p]
-            small[p * p:] -= d_small
-    pairs = [(small, large)] + ([(tsmall, tlarge)] if theta else [])
+        # the same for v = p*p .. r, once per value of v // p
+        d_row = small[p: r // p + 1] - sp if p * p <= r else None
+        for k, (sm, lg) in enumerate(pairs):
+            if k:  # a later sum: chain the strikes of the one before it
+                lp, sp = math.log(p), sm[p - 1]
+                d_mid = lp * d_mid + (lg[p: mid * p + 1: p] - sp)
+                d_top = lp * d_top + (sm[j] - sp)
+                if d_row is not None:
+                    d_row = lp * d_row + (sm[p: r // p + 1] - sp)
+            lg[1: mid + 1] -= d_mid
+            lg[mid + 1: top + 1] -= d_top
+            if d_row is not None:
+                sm[p * p:] -= np.repeat(d_row, p)[: r + 1 - p * p]
     _lucy_batch(hi, base.primes[ic: bisect_right(base.primes, r)], pairs)
     return pairs
 
@@ -384,15 +399,15 @@ def _lucy_counts(hi: int, base: PrimeTable,
 def _lucy_batch(hi: int, ps: np.ndarray,
                 pairs: list[tuple[np.ndarray, np.ndarray]]) -> None:
     """Strike the primes ``ps``, all with p**3 > hi, into _lucy_counts's
-    ``pairs`` at once: for each i, large[i] loses the sum over the p with
-    p*p <= hi // i of d = pi(hi // (i*p)) - pi(p - 1), read by
-    _at_quotients's rule, and theta's large[i] the sum of
-    log p * d + theta(hi // (i*p)) - theta(p - 1). The pairs (i, p) run
-    i-major, p ascending, in blocks of whole i of about _LUCY_BLOCK
-    pairs; np.add.reduceat sums each i's terms, in int64 for pi."""
+    ``pairs`` at once, by the loop's chain: for each i, each pair's
+    large[i] loses the sum over the p with p*p <= hi // i of its strike
+    at v = hi // i, S(hi // (i*p)) read by _at_quotients's rule, minus
+    S(p - 1), plus log p times the previous pair's strike. The pairs
+    (i, p) run i-major, p ascending, in blocks of whole i of about
+    _LUCY_BLOCK pairs; np.add.reduceat sums each i's terms, in int64 for
+    pi."""
     if not ps.size:
         return
-    (small, large), *rest = pairs
     # n[i - 1] = #{p in ps : p*p <= hi // i}, at least 1 up to i_max
     i_max = hi // int(ps[0]) ** 2
     n = np.searchsorted(ps * ps, hi // np.arange(1, i_max + 1), side="right")
@@ -405,12 +420,11 @@ def _lucy_batch(hi: int, ps: np.ndarray,
         at = starts[a:b] - starts[a]
         p = ps[np.arange(starts[b] - starts[a]) - np.repeat(at, n[a:b])]
         ip = np.repeat(np.arange(a + 1, b + 1, dtype=np.int64), n[a:b]) * p
-        d = _at_quotients(ip, hi, small, large) - small[p - 1]
-        for tsmall, tlarge in rest:
-            t = (np.log(p.astype(np.float64)) * d
-                 + _at_quotients(ip, hi, tsmall, tlarge) - tsmall[p - 1])
-            tlarge[a + 1: b + 1] -= np.add.reduceat(t, at)
-        large[a + 1: b + 1] -= np.add.reduceat(d, at)
+        d = None
+        for small, large in pairs:
+            e = _at_quotients(ip, hi, small, large) - small[p - 1]
+            d = e if d is None else np.log(p.astype(np.float64)) * d + e
+            large[a + 1: b + 1] -= np.add.reduceat(d, at)
         a = b
 
 
@@ -470,16 +484,4 @@ def weighted_lambda_sums_at(ns, hi: int, base: PrimeTable) -> np.ndarray:
     with theta took 0.12-0.16 s at hi = 10^10 and 3.1-3.9 s at 10^12
     on a 2-vCPU VM, about three times as long as pi alone.
     """
-    base.check_covers(hi)
-    ns = np.asarray(ns, dtype=np.int64)
-    if hi <= base.limit:
-        n, cum = base.psi_table
-        return cum[np.searchsorted(n, hi // ns,
-                                   side="right")].astype(np.float64)
-    check_lucy_reach(hi)
-    _, theta = _lucy_counts(hi, base, theta=True)
-    n, p = base.proper_powers
-    j = np.searchsorted(n, hi, side="right")
-    cum = np.cumsum(np.concatenate(([0.0], np.log(p[:j].astype(np.float64)))))
-    return (_at_quotients(ns, hi, *theta)
-            + cum[np.searchsorted(n[:j], hi // ns, side="right")])
+    return _ladder(ns, hi, base, theta=True)

@@ -266,6 +266,13 @@ def cmd_interval(args):
 
 def cmd_zeros_stats(args):
     table = _zero_table(args)
+    # every T is clipped to the table's end, and the Riemann-von Mangoldt
+    # term holds only above 2*pi*e
+    if table.max_ordinate <= zeros.TWO_PI * math.e:
+        raise DomainError(
+            f"zeros-stats needs a zero table past 2*pi*e = "
+            f"{zeros.TWO_PI * math.e}: '{table.source_label}' ends at "
+            f"{table.max_ordinate}")
     rows = []
     # each T clipped to the table's end, without repeats
     for T in dict.fromkeys(min(T, table.max_ordinate) for T in

@@ -79,7 +79,10 @@ def lambda_upto_1e4():
 def lucy_reference(hi, theta):
     """arith._lucy_counts(hi, base, theta) with one loop turn per prime
     p <= isqrt(hi), each forming its right-hand sides before it writes;
-    the reference for the batched strike of the primes above hi^(1/3)."""
+    the reference for the batched strike of the primes above hi^(1/3).
+    It keeps the two-statement form on purpose: theta's strikes are
+    written out beside pi's, not chained through a list of sums as in
+    arith, so the reference does not share the kernel's chain."""
     r = math.isqrt(hi)
     idx = np.arange(r + 1, dtype=np.int64)
     small = np.maximum(idx - 1, 0)

@@ -253,8 +253,9 @@ class TestPrimeCountInterval:
         assert arith.prime_count_interval(lo, lo + 50, base_1e4) == want
 
     def test_sieve_branch_counts_two(self):
-        # on a table to 10, every window here lies above it, so the sieve
-        # branch must add p = 2 itself
+        # on a table to 10 the counted masks hold the odd candidates
+        # only, so p = 2 is added apart; the window of 65 integers is
+        # sieved, not tested candidate by candidate
         base = arith.sieve_primes(10)
         assert 66 - 1 > arith.MR_WINDOW
         assert arith.prime_count_interval(1, 100, base) == 25
@@ -314,8 +315,10 @@ class TestPrimeCountsAt:
         # every divisor n = 1 .. hi + 1, shuffled, on the table path (a
         # table to hi) and on the Lucy path (base_1e4); the reference
         # chains the segmented interval route over the sorted distinct
-        # hi // n, across its 2^20 segment boundaries. With r = isqrt(hi)
-        # = 1450, the prime 1451 = hi // r lies above hi // (r + 1)
+        # hi // n, across its 2^20 segment boundaries, and sieves every
+        # window, so it shares no searchsorted with the table path. With
+        # r = isqrt(hi) = 1450, the prime 1451 = hi // r lies above
+        # hi // (r + 1)
         hi = 1450 * 1451
         ns = np.random.default_rng(15).permutation(np.arange(1, hi + 2))
         ts, where = np.unique(hi // ns, return_inverse=True)
@@ -433,11 +436,13 @@ class TestPsi:
 
 def assert_lucy_matches_reference(hi, base):
     """_lucy_counts(hi) against the one-prime-per-turn reference at every
-    small[v] and large[i]: pi exactly, theta within 1e-13 relative."""
+    small[v] and large[i]: pi exactly, with theta and without it, and
+    theta within 1e-13 relative."""
     (ps, pl), (ts, tl) = arith._lucy_counts(hi, base, theta=True)
     (ws, wl), (wts, wtl) = lucy_reference(hi, True)
-    assert ps.dtype == pl.dtype == np.int64
-    assert np.array_equal(ps, ws) and np.array_equal(pl, wl), hi
+    for got_s, got_l in ((ps, pl), *arith._lucy_counts(hi, base)):
+        assert got_s.dtype == got_l.dtype == np.int64
+        assert np.array_equal(got_s, ws) and np.array_equal(got_l, wl), hi
     for got, want in ((ts, wts), (tl, wtl)):
         assert np.allclose(got, want, rtol=1e-13, atol=0), hi
 

@@ -554,6 +554,17 @@ class TestZerosStats:
         rows = json.loads(out)["rows"]
         assert [(r["T"], r["N"]) for r in rows] == [(25.01085758, 2)]
 
+    @pytest.mark.parametrize("T", [[], ["--T", "20"]])
+    def test_table_below_two_pi_e_refused(self, capsys, T):
+        # one zero ends the table at gamma_1 = 14.13 < 2*pi*e = 17.08, so
+        # every T clips below the Riemann-von Mangoldt term's domain; the
+        # refusal names the table's end, not a T the user never passed
+        rc, out, err = run(capsys, "zeros-stats", "--limit", "1", *T)
+        assert rc == 2
+        assert out == ""
+        assert "needs a zero table past 2*pi*e = 17.079468445347132" in err
+        assert "ends at 14.134725142" in err
+
     def test_table_format_default(self, capsys):
         rc, out, _ = run(capsys, "zeros-stats", "--limit", "100")
         assert rc == 0
