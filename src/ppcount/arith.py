@@ -44,6 +44,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import floordiv
 
 import numpy as np
 
@@ -281,13 +283,12 @@ def prime_count_interval(lo: int, hi: int, base: PrimeTable, *,
 
 def check_lucy_reach(hi: int) -> None:
     """CapacityError once isqrt(hi) passes LUCY_ROOT_LIMIT, where the
-    Lucy recurrence's arrays would pass about 0.5 GB. Both ladders
-    refuse through it; count and sweep call it before they sieve."""
+    Lucy recurrence's arrays would pass about 0.5 GB. Both ladders, and
+    count, sweep and cstar before they sieve, refuse through it."""
     r = math.isqrt(hi)
     if r > LUCY_ROOT_LIMIT:
-        raise CapacityError(f"pi ladder to {hi} needs the Lucy recurrence "
-                            f"to isqrt {r}, beyond its bound "
-                            f"{LUCY_ROOT_LIMIT}")
+        raise CapacityError(f"ladder to {hi} needs the Lucy recurrence to "
+                            f"isqrt {r}, beyond its bound {LUCY_ROOT_LIMIT}")
 
 
 def prime_counts_at(ns, hi: int, base: PrimeTable) -> np.ndarray:
@@ -362,13 +363,16 @@ def _lucy_counts(hi: int, base: PrimeTable,
     below every index read by one, and their subtractions commute.
     """
     r = math.isqrt(hi)
-    idx = np.arange(r + 1, dtype=np.int64)
-    q = hi // np.maximum(idx, 1)  # q[i] = hi // i for i >= 1
-    pairs = [(np.maximum(idx - 1, 0), q - 1)]
+    # q[i] = hi // i for i >= 1
+    q = hi // np.maximum(np.arange(r + 1, dtype=np.int64), 1)
+    pairs = [(np.maximum(np.arange(-1, r, dtype=np.int64), 0), q - 1)]
     if theta:
-        pairs.append(tuple(np.fromiter(map(math.lgamma, (v + 1).tolist()),
-                                       np.float64, v.size) for v in (idx, q)))
-    del idx  # only the starting arrays read it
+        # log(v!) = lgamma(v + 1) at v + 1 = 1 .. r + 1, and at
+        # hi // i + 1 = (hi + i) // i, read off ranges: no list of Python
+        # ints is built (large[0] = lgamma(hi + 1), as large[1])
+        q1 = map(floordiv, range(hi + 1, hi + r + 1), range(1, r + 1))
+        pairs.append(tuple(np.fromiter(map(math.lgamma, v), np.float64, r + 1)
+                           for v in (range(1, r + 2), chain([hi + 1], q1))))
     small, large = pairs[0]
     ic = bisect_right(base.primes, iroot(hi, 3))
     for p in base.primes[:ic].tolist():

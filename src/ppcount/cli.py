@@ -2,12 +2,14 @@
 
 Subcommands: count, sweep, cstar, explicit, interval, zeros-stats,
 verify. Every setting is an argument: the global --sieve-ceiling
-bounds how far a command sieves, and --zeros PATH picks a zero table
-in place of the bundled one. Every command prints its rows
-through one writer, as a table, or as csv or json with --format, with
-the run's manifest: its id is a column of the table and csv rows and
-the "manifest" member of the json document. verify prints one row per
-check.
+bounds the one sieve that grows with the input, x for explicit and h
+for interval, and --zeros PATH picks a zero table in place of the
+bundled one. count, sweep and cstar sieve only their base, to sqrt(x),
+and read the rest off the Lucy recurrence, whose reach is their one
+bound. Every command prints its rows through one writer, as a table,
+or as csv or json with --format, with the run's manifest: its id is a
+column of the table and csv rows and the "manifest" member of the json
+document. verify prints one row per check.
 
 Exit codes: 1 a verify check failed, 2 usage, 3 capacity, 4 I/O,
 6 validation (5 is retired).
@@ -41,12 +43,8 @@ EXIT_VALIDATION = 6
 
 CSV_SCHEMA_VERSION = "3"
 
-# the largest x (h for interval) a command sieves
+# the largest x of explicit, or h of interval, a command sieves
 DEFAULT_SIEVE_CEILING = 10 ** 10
-
-# count and sweep sieve only their base table, to sqrt(x): they accept
-# x (x_max for sweep) up to this many times the sieve ceiling
-LADDER_REACH = 100
 
 # np.logspace allocates the whole grid before the first count
 MAX_SWEEP_POINTS = 10 ** 4
@@ -120,13 +118,10 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _check_ceiling(name: str, n, ceiling: int, reach: int = 1) -> None:
-    """CapacityError, before any sieving, when n passes reach times
-    ceiling."""
-    if n > reach * ceiling:
-        times = f"{reach} * " if reach > 1 else ""
-        raise CapacityError(f"{name} = {n} beyond {times}sieve ceiling "
-                            f"{ceiling}")
+def _check_ceiling(name: str, n, ceiling: int) -> None:
+    """CapacityError, before any sieving, when n passes the ceiling."""
+    if n > ceiling:
+        raise CapacityError(f"{name} = {n} beyond sieve ceiling {ceiling}")
 
 
 def _base_for(x: int) -> arith.PrimeTable:
@@ -150,7 +145,6 @@ def _count_row(x: int, k: int, count: int) -> dict:
 
 def cmd_count(args):
     x, k = args.x, args.k
-    _check_ceiling("x", x, args.sieve_ceiling, LADDER_REACH)
     # the oracle refuses x past its own ceiling before it allocates, so
     # nothing is sieved for a refused run
     oracle = counting.count_oracle(x, k) if args.method != "exact" else None
@@ -180,8 +174,6 @@ def cmd_sweep(args):
     if not 1 <= args.x_min <= args.x_max:
         raise DomainError("sweep needs 1 <= x_min <= x_max, got "
                           f"x_min = {args.x_min}, x_max = {args.x_max}")
-    _check_ceiling("x_max", args.x_max, args.sieve_ceiling,
-                   LADDER_REACH)
     # before the grid's int64 cast, which x_max past 2^63 would overflow
     arith.check_lucy_reach(args.x_max)
     grid = _sweep_grid(args.x_min, args.x_max, args.points)
@@ -192,9 +184,7 @@ def cmd_sweep(args):
 
 def cmd_cstar(args):
     x, k = args.x, args.k
-    # psi(x // m^k) comes from the Lucy recurrence, which sieves only
-    # the base to sqrt(x): count's reach
-    _check_ceiling("x", x, args.sieve_ceiling, LADDER_REACH)
+    # psi(x // m^k) comes from the Lucy recurrence, as count's pi does
     arith.check_lucy_reach(x)
     base = _base_for(x)
     value = counting.cstar(x, k, base)
@@ -300,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="table")
     p.add_argument("--sieve-ceiling", type=_int_arg,
                    default=DEFAULT_SIEVE_CEILING,
-                   help="the largest x (h for interval) a command sieves")
+                   help="the largest x (explicit) or h (interval) sieved")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("count", help="exact C_k(x) with main term")

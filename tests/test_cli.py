@@ -154,14 +154,27 @@ class TestConfig:
 
     def test_capacity_from_sieve_ceiling(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.arith, "sieve_primes", None)
-        for argv in (["count", "--x", "1e6", "--k", "2"],
-                     ["sweep", "--k", "2", "--x-min", "10", "--x-max", "1e6"],
-                     ["cstar", "--x", "1e6", "--k", "2"],
-                     ["explicit", "--x", "1e6"],
+        for argv in (["explicit", "--x", "1e6"],
                      ["interval", "--x", "1e6", "--h", "1e4", "--k", "2"]):
             rc, out, err = run(capsys, "--sieve-ceiling", "1e3", *argv)
             assert rc == cli.EXIT_CAPACITY, argv
             assert out == "" and "ceiling 1000" in err, argv
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--x", "1e6", "--k", "2"],
+        ["sweep", "--k", "2", "--x-min", "10", "--x-max", "1e6"],
+        ["cstar", "--x", "1e6", "--k", "2"],
+    ])
+    def test_ladders_ignore_sieve_ceiling(self, capsys, argv):
+        # count, sweep and cstar sieve only their base, to sqrt(x): the
+        # ceiling neither bounds them nor changes their rows
+        rows = []
+        for flag in (["--sieve-ceiling", "1e3"], []):
+            rc, out, _ = run(capsys, "--format", "csv", *flag, *argv)
+            assert rc == 0
+            rows.append([{c: v for c, v in row.items() if c != "manifest_id"}
+                         for row in parse_csv(out)])
+        assert rows[0] == rows[1] and rows[0]
 
     def test_ceiling_in_manifest(self, capsys):
         for ceiling, want in ((None, cli.DEFAULT_SIEVE_CEILING),
@@ -181,10 +194,8 @@ class TestConfig:
         assert "--sieve-ceiling" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["cstar", "--x", "1e13", "--k", "2"],
         ["explicit", "--x", "1e12"],
         ["interval", "--x", "1e12", "--h", "1e12", "--k", "2"],
-        ["count", "--x", "1000000000001", "--k", "2"],
     ])
     def test_default_ceiling(self, capsys, argv, monkeypatch):
         # refused before any prime table is sieved
@@ -193,46 +204,49 @@ class TestConfig:
         assert rc == cli.EXIT_CAPACITY
         assert f"sieve ceiling {cli.DEFAULT_SIEVE_CEILING}" in err
 
-    def test_ladder_reaches_1e12(self, capsys, monkeypatch):
-        # count and sweep sieve only to sqrt(x): 100 times the ceiling
+    def test_ladders_reach_the_lucy_bound(self, capsys, monkeypatch):
+        # count, sweep and cstar sieve only to sqrt(x): at the default
+        # ceiling they reach x = LUCY_ROOT_LIMIT^2, about 10^14; the
+        # ladders are stubbed, so only the base to 10^7 is sieved
+        top = cli.arith.LUCY_ROOT_LIMIT ** 2
         seen = []
 
-        def fake_count_exact(x, k, base):
+        def fake_ladder(x, k, base):
             seen.append(x)
             return 0
 
-        monkeypatch.setattr(cli.counting, "count_exact", fake_count_exact)
-        rc, out, _ = run(capsys, "--format", "json",
-                         "count", "--x", "1e12", "--k", "2")
-        assert rc == 0 and json.loads(out)["rows"][0]["x"] == 10 ** 12
-        rc, _, _ = run(capsys, "sweep", "--k", "2", "--x-min", "1e11",
-                       "--x-max", "1e12", "--points", "2")
-        assert rc == 0
-        assert seen == [10 ** 12, 10 ** 11, 10 ** 12]
+        monkeypatch.setattr(cli.counting, "count_exact", fake_ladder)
+        monkeypatch.setattr(cli.counting, "cstar", fake_ladder)
+        for argv in (["count", "--x", str(top), "--k", "2"],
+                     ["cstar", "--x", str(top), "--k", "2"],
+                     ["sweep", "--k", "2", "--x-min", "1e6", "--x-max",
+                      str(top), "--points", "2"]):
+            rc, out, _ = run(capsys, "--format", "json", *argv)
+            assert rc == 0, argv
+            assert json.loads(out)["rows"][-1]["x"] == top, argv
+        assert seen == [top, top, 10 ** 6, top]
 
-    def test_lucy_bound_under_raised_ceiling(self, capsys, monkeypatch):
-        # within 100 * sieve_ceiling, but past the Lucy recurrence's
-        # bound: refused before the base table to sqrt(x) is sieved
+    def test_lucy_bound(self, capsys, monkeypatch):
+        # past the Lucy recurrence's bound: refused before the base
+        # table to sqrt(x) is sieved
         monkeypatch.setattr(cli.arith, "sieve_primes", None)
         r = cli.arith.LUCY_ROOT_LIMIT + 1
         for argv in (["count", "--x", str(r * r), "--k", "2"],
                      ["cstar", "--x", str(r * r), "--k", "2"],
                      ["sweep", "--k", "2", "--x-min", "1e6", "--x-max",
                       "2e14", "--points", "3"]):
-            rc, out, err = run(capsys, "--sieve-ceiling", "1e13", *argv)
+            rc, out, err = run(capsys, *argv)
             assert rc == cli.EXIT_CAPACITY, argv
             assert out == "" and "needs the Lucy recurrence" in err, argv
             assert str(cli.arith.LUCY_ROOT_LIMIT) in err, argv
 
-    def test_sweep_past_int64_under_raised_ceiling(self, capsys,
-                                                   monkeypatch):
+    def test_sweep_past_int64(self, capsys, monkeypatch):
         # x_max = 10^19 passes 2^63: refused before the grid's int64 cast
         monkeypatch.setattr(cli.arith, "sieve_primes", None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc, out, err = run(capsys, "--sieve-ceiling", "1e28", "sweep",
-                               "--k", "2", "--x-min", "1", "--x-max", "1e19",
-                               "--points", "3")
+            rc, out, err = run(capsys, "sweep", "--k", "2", "--x-min", "1",
+                               "--x-max", "1e19", "--points", "3")
         assert rc == cli.EXIT_CAPACITY
         assert out == "" and "needs the Lucy recurrence" in err
 
@@ -348,20 +362,14 @@ class TestCstar:
         assert row["prime_power_correction"] > 0
         assert payload["manifest"]["li_convention"]
 
-    def test_ladder_reach(self, capsys, monkeypatch):
+    def test_ladder_reach(self, capsys):
         # psi comes from the Lucy recurrence, which sieves only the base
-        # to sqrt(x), so cstar reaches 100 times the ceiling, as count
+        # to sqrt(x), so cstar reaches past the sieve ceiling, as count
         rc, out, _ = run(capsys, "--format", "json", "--sieve-ceiling",
                          "1e6", "cstar", "--x", "1e8", "--k", "2")
         assert rc == 0
         want = counting.cstar(10 ** 8, 2, cli._base_for(10 ** 8))
         assert json.loads(out)["rows"][0]["cstar"] == want
-        # and no further: refused before any prime table is sieved
-        monkeypatch.setattr(cli.arith, "sieve_primes", None)
-        rc, out, err = run(capsys, "--sieve-ceiling", "1e6", "cstar",
-                           "--x", "100000001", "--k", "2")
-        assert rc == cli.EXIT_CAPACITY
-        assert out == "" and "100 * sieve ceiling 1000000" in err
 
     def test_large_k_reported_as_given(self, capsys):
         rc, out, _ = run(capsys, "--format", "json",
